@@ -222,10 +222,6 @@ def apply_threshold(user_ids, p_right, tau: float) -> list[Prediction]:
     ]
 
 
-def predicted_labels(model: ClassifierModel, x, tau: float = 0.5) -> list[str]:
-    return [label_for(float(p), tau) for p in predict(model, x)]
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -17,10 +17,18 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, classify, evaluation, newsstudy, pipeline, resources
-from .corpus import group_tweets, ground_truth_labels, load_friends, load_tweets, load_vaa_results
-from .polex import Lexicon, induce_lexicon
+from .corpus import (
+    assemble_documents,
+    filter_users,
+    group_tweets,
+    ground_truth_labels,
+    load_friends,
+    load_tweets,
+    load_vaa_results,
+)
+from .polex import Lexicon
 from .synthgen import SynthSpec, generate
-from .textprep import save_dfm
+from .textprep import build_network_matrix, save_dfm
 from .topics import (
     fit_topic_model,
     fold_in,
@@ -117,10 +125,9 @@ def _pipeline_config(config) -> pipeline.PipelineConfig:
         cfg.families = tuple(config["families"])
     if "ngram_orders" in config:
         cfg.ngram_orders = tuple(config["ngram_orders"])
-    for field_name in ("datasets",):
-        for d in cfg.datasets:
-            if d not in pipeline.DATASETS:
-                raise ConfigError(f"field '{field_name}': unknown dataset {d!r}")
+    for d in cfg.datasets:
+        if d not in pipeline.DATASETS:
+            raise ConfigError(f"field 'datasets': unknown dataset {d!r}")
     for fam in cfg.families:
         if fam not in classify.FAMILIES:
             raise ConfigError(f"field 'families': unknown family {fam!r}")
@@ -158,8 +165,6 @@ def cmd_ingest(args) -> int:
     cfg = _pipeline_config(config)
     tweets = load_tweets(config["tweets"])
     users = group_tweets(tweets)
-    from .corpus import filter_users
-
     kept = filter_users(users.values(), cfg.min_english, cfg.min_tweets)
     kept_ids = {u.user_id for u in kept}
     records = ground_truth_labels(load_vaa_results(config["vaa"]))
@@ -192,30 +197,7 @@ def cmd_lexicon(args) -> int:
     config = _load_config(args, required_paths=("tweets",), required_keys=("out",))
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    tweets = load_tweets(config["tweets"])
-    lexicon = induce_lexicon(
-        tweets,
-        resources.election_periods(),
-        min_tweets=cfg.lexicon_min_tweets,
-        threshold=cfg.lexicon_threshold,
-        denylist=resources.ambiguous_words(),
-        manual_add=resources.manual_additions(),
-    )
-    if cfg.expand_with_embedding:
-        from .polex import expand_lexicon
-        from .skipgram import train_skipgram
-        from .textprep import tokenize
-
-        emb = train_skipgram(
-            [tokenize(t.text) for t in tweets],
-            window=cfg.embedding_window,
-            min_freq=cfg.embedding_min_freq,
-            dim=cfg.embedding_dim,
-            negatives=cfg.embedding_negatives,
-            epochs=cfg.embedding_epochs,
-            seed=cfg.seed,
-        )
-        lexicon = expand_lexicon(emb, lexicon, denylist=resources.ambiguous_words())
+    lexicon = pipeline.build_lexicon(load_tweets(config["tweets"]), cfg)
     lex_path = os.path.join(out, "lexicon.json")
     lexicon.save(lex_path)
     _write_manifest(out, "lexicon", _public(config), [config["tweets"]], [lex_path])
@@ -223,17 +205,11 @@ def cmd_lexicon(args) -> int:
     return EXIT_OK
 
 
-def _corpus_bundle(config, cfg):
-    return pipeline.load_corpus(
-        config["tweets"], config["vaa"], config.get("friends"), cfg
-    )
-
-
 def cmd_dfm(args) -> int:
     config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    bundle = _corpus_bundle(config, cfg)
+    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
     users = sorted(bundle.labels)
     outputs = []
     for which, sparsity in (("pol", cfg.sparsity_pol), ("nonpol", cfg.sparsity_nonpol)):
@@ -244,8 +220,6 @@ def cmd_dfm(args) -> int:
         outputs += [triplet, header]
         print(f"{which}: {dfm.shape[0]} users x {dfm.shape[1]} features")
     if bundle.friends:
-        from .textprep import build_network_matrix
-
         net = build_network_matrix(
             {u: bundle.friends.get(u, []) for u in users}, cfg.sparsity_net
         )
@@ -265,7 +239,7 @@ def cmd_topics(args) -> int:
     config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    bundle = _corpus_bundle(config, cfg)
+    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
     users = sorted(bundle.labels)
     which = config.get("which", "nonpol")
     if which not in ("pol", "nonpol"):
@@ -296,13 +270,6 @@ def cmd_topics(args) -> int:
     return EXIT_OK
 
 
-def _train_bundle(config, cfg):
-    """Balanced-sample training shared by train/eval/predict paths."""
-    bundle = _corpus_bundle(config, cfg)
-    sample = pipeline.evaluate_sample(bundle, cfg, cfg.seed)
-    return bundle, sample
-
-
 def cmd_train(args) -> int:
     config = _load_config(
         args, required_paths=("tweets", "vaa"), required_keys=("out",)
@@ -319,7 +286,8 @@ def cmd_train(args) -> int:
         raise ConfigError("field 'friends': required for network datasets")
     cfg.datasets = (dataset,)
     cfg.families = (family,)
-    bundle, sample = _train_bundle(config, cfg)
+    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
+    sample = pipeline.evaluate_sample(bundle, cfg, cfg.seed)
 
     model_path = os.path.join(out, "classifier.json")
     classify.save_model(sample.models[(dataset, family)], model_path)
@@ -334,15 +302,9 @@ def cmd_train(args) -> int:
         save_topic_model(sample.topic_models[text_key], tm_header, tm_beta)
         outputs += [tm_header, tm_beta]
     if dataset.endswith("net"):
-        train_users = sample.split[0]
-        from .textprep import build_network_matrix
-
-        net = build_network_matrix(
-            {u: bundle.friends.get(u, []) for u in train_users}, cfg.sparsity_net
-        )
         net_path = os.path.join(out, "network_columns.json")
         with open(net_path, "w") as fh:
-            json.dump({"columns": list(net.col_ids)}, fh, sort_keys=True, indent=2)
+            json.dump({"columns": list(sample.network_columns)}, fh, sort_keys=True, indent=2)
             fh.write("\n")
         outputs.append(net_path)
     meta_path = os.path.join(out, "train_meta.json")
@@ -402,9 +364,7 @@ def cmd_eval(args) -> int:
         evaluation.write_threshold_csv(thr_path, rows)
         outputs.append(thr_path)
         k = first.topic_models["non-pol"].k
-        names = [f"topic_{i}" for i in range(k)] + list(
-            pipeline.network_features(bundle.friends, first.split[0], first.split[1], cfg.sparsity_net)[0].col_ids
-        )
+        names = [f"topic_{i}" for i in range(k)] + list(first.network_columns)
         ranked = evaluation.permutation_importance(
             model, x_te, [bundle.labels[u] for u in users_te], names, repeats=5, seed=cfg.seed
         )
@@ -456,64 +416,71 @@ def cmd_predict(args) -> int:
     )
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    model_dir = config["model_dir"]
-    for name in ("classifier.json", "lexicon.json"):
-        if not os.path.exists(os.path.join(model_dir, name)):
-            raise ConfigError(f"field 'model_dir': missing {name}")
-    model = classify.load_model(os.path.join(model_dir, "classifier.json"))
-    lexicon = Lexicon.load(os.path.join(model_dir, "lexicon.json"))
-    meta = {}
-    meta_path = os.path.join(model_dir, "train_meta.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    dataset = config.get("dataset", meta.get("dataset", "non-pol+net"))
-    tau = config.get("tau", meta.get("tau", 0.5))
-
-    tweets = load_tweets(config["tweets"])
-    users = group_tweets(tweets)
-    from .corpus import assemble_documents
-
-    docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
-    user_ids = sorted(docs)
-    features, unknown_users = _prediction_features(
-        config, cfg, model_dir, dataset, docs, user_ids
-    )
-    preds = newsstudy.classify_sharers(features, user_ids, model, tau, unknown_users)
+    meta = _bundle_meta(config)
+    users = group_tweets(load_tweets(config["tweets"]))
+    preds = _predict_users(config, cfg, meta, users, config.get("tau", meta.get("tau", 0.5)))
     pred_path = os.path.join(out, "predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
-    inputs = [config["tweets"], os.path.join(model_dir, "classifier.json")]
+    inputs = [config["tweets"], os.path.join(config["model_dir"], "classifier.json")]
     _write_manifest(out, "predict", _public(config), inputs, [pred_path])
     print(f"wrote {len(preds)} predictions to {pred_path}")
     return EXIT_OK
 
 
+def _bundle_meta(config) -> dict:
+    """Check the bundle that `train` saved under model_dir and return its
+    train_meta.json (empty when absent)."""
+    model_dir = config["model_dir"]
+    for name in ("classifier.json", "lexicon.json"):
+        if not os.path.exists(os.path.join(model_dir, name)):
+            raise ConfigError(f"field 'model_dir': missing {name}")
+    meta_path = os.path.join(model_dir, "train_meta.json")
+    if not os.path.exists(meta_path):
+        return {}
+    with open(meta_path) as fh:
+        return json.load(fh)
+
+
+def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
+    """Classify grouped users with the saved bundle, on the dataset it
+    was trained on."""
+    model_dir = config["model_dir"]
+    model = classify.load_model(os.path.join(model_dir, "classifier.json"))
+    lexicon = Lexicon.load(os.path.join(model_dir, "lexicon.json"))
+    dataset = config.get("dataset", meta.get("dataset", "non-pol+net"))
+    docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
+    user_ids = sorted(docs)
+    features, unknown_users = _prediction_features(
+        config, cfg, model_dir, dataset, docs, user_ids
+    )
+    return newsstudy.classify_sharers(features, user_ids, model, tau, unknown_users)
+
+
 def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
-    """Assemble feature rows for new users matching a trained bundle."""
-    stopwords = resources.smart_stopwords()
-    unknown_users: list[str] = []
+    """Assemble feature rows for new users matching a trained bundle.
+    Users with no surviving text feature, and with no follow hit when the
+    bundle has network columns, are returned as unknown."""
     blocks = []
+    unknown: set[str] = set()
     if dataset != "net":
         tm_header = os.path.join(model_dir, "topic_model.json")
         tm_beta = os.path.join(model_dir, "topic_beta.csv")
         if not os.path.exists(tm_header):
             raise ConfigError("field 'model_dir': missing topic_model.json")
         tmodel = load_topic_model(tm_header, tm_beta)
-        which = "pol" if dataset.startswith("pol") else "nonpol"
+        stopwords = resources.smart_stopwords()
         counts = {}
         for uid in user_ids:
             doc = docs[uid]
-            texts = doc.political_tweets if which == "pol" else doc.nonpolitical_tweets
+            texts = doc.political_tweets if dataset.startswith("pol") else doc.nonpolitical_tweets
             counts[uid] = pipeline.user_feature_counts(texts, stopwords, cfg.ngram_orders)
         projected = newsstudy.project_features(counts, tmodel.vocab, config.get("min_total_freq", 3))
-        text_empty = {
+        unknown = {
             uid
             for uid, row in zip(user_ids, np.asarray(projected.matrix.sum(axis=1)).ravel())
             if row == 0
         }
         blocks.append(fold_in(projected, tmodel))
-    else:
-        text_empty = set()
     if dataset.endswith("net"):
         net_path = os.path.join(model_dir, "network_columns.json")
         if not os.path.exists(net_path):
@@ -521,19 +488,10 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
         with open(net_path) as fh:
             columns = json.load(fh)["columns"]
         friends = load_friends(config["friends"]) if config.get("friends") else {}
-        col_index = {a: j for j, a in enumerate(columns)}
-        net = np.zeros((len(user_ids), len(columns)))
-        net_empty = set()
-        for i, uid in enumerate(user_ids):
-            hits = [col_index[a] for a in set(friends.get(uid, ())) if a in col_index]
-            net[i, hits] = 1.0
-            if not hits:
-                net_empty.add(uid)
-        blocks.append(net)
-        unknown_users = sorted(text_empty & net_empty)
-    else:
-        unknown_users = sorted(text_empty)
-    return np.hstack(blocks), unknown_users
+        net = pipeline.align_network(friends, user_ids, columns).matrix
+        blocks.append(net.toarray())
+        unknown &= {uid for uid, hits in zip(user_ids, net.getnnz(axis=1)) if not hits}
+    return np.hstack(blocks), sorted(unknown)
 
 
 def cmd_newsstudy(args) -> int:
@@ -544,31 +502,19 @@ def cmd_newsstudy(args) -> int:
     )
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    model_dir = config["model_dir"]
+    meta = _bundle_meta(config)
     patterns = newsstudy.load_patterns(resources.url_patterns())
     events = newsstudy.load_share_events(config["shares"], patterns)
     sharers = sorted({e.user_id for e in events if e.matched is not None})
     if not sharers:
         raise ConfigError("field 'shares': no share events match any pattern")
 
-    model = classify.load_model(os.path.join(model_dir, "classifier.json"))
-    lexicon = Lexicon.load(os.path.join(model_dir, "lexicon.json"))
-    tweets = [t for t in load_tweets(config["tweets"]) if t.user_id in set(sharers)]
-    users = group_tweets(tweets)
-    from .corpus import assemble_documents
-
-    docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
-    user_ids = [u for u in sharers if u in docs]
-    missing = [u for u in sharers if u not in docs]
-    dataset = config.get("dataset", "non-pol+net")
-    tau = config.get("tau", 0.7)
-    features, unknown_users = _prediction_features(
-        config, cfg, model_dir, dataset, docs, user_ids
-    )
-    preds = newsstudy.classify_sharers(features, user_ids, model, tau, unknown_users)
+    wanted = set(sharers)
+    users = group_tweets(t for t in load_tweets(config["tweets"]) if t.user_id in wanted)
+    preds = _predict_users(config, cfg, meta, users, config.get("tau", 0.7))
     predictions = {p.user_id: p.label for p in preds}
-    for uid in missing:
-        predictions[uid] = classify.UNKNOWN
+    for uid in sharers:  # sharers without tweets
+        predictions.setdefault(uid, classify.UNKNOWN)
 
     table = newsstudy.counts_table(
         events, predictions, count_shares=bool(config.get("count_shares", False))
@@ -578,7 +524,7 @@ def cmd_newsstudy(args) -> int:
     pred_path = os.path.join(out, "sharer_predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
     print(newsstudy.format_counts(table))
-    inputs = [config["shares"], config["tweets"], os.path.join(model_dir, "classifier.json")]
+    inputs = [config["shares"], config["tweets"], os.path.join(config["model_dir"], "classifier.json")]
     _write_manifest(out, "newsstudy", _public(config), inputs, [table_path, pred_path])
     return EXIT_OK
 

@@ -50,8 +50,6 @@ class UserRecord:
 @dataclass(frozen=True)
 class UserDocument:
     user_id: str
-    political_text: str
-    nonpolitical_text: str
     political_tweets: tuple[str, ...]
     nonpolitical_tweets: tuple[str, ...]
     tweet_count: int
@@ -223,7 +221,7 @@ def filter_users(
 
 def assemble_documents(user: UserRecord, lexicon) -> UserDocument:
     """Split a user's tweets into political and non-political documents,
-    each concatenated in ascending timestamp order."""
+    each in ascending timestamp order."""
     from .polex import label_tweet  # local import to avoid a cycle
 
     political: list[str] = []
@@ -234,8 +232,6 @@ def assemble_documents(user: UserRecord, lexicon) -> UserDocument:
         )
     return UserDocument(
         user_id=user.user_id,
-        political_text="\n".join(political),
-        nonpolitical_text="\n".join(nonpolitical),
         political_tweets=tuple(political),
         nonpolitical_tweets=tuple(nonpolitical),
         tweet_count=len(user.tweets),

@@ -76,14 +76,6 @@ def split(
     return train, test
 
 
-def kfold(train: Sequence[str], k: int = 10, seed: int = 0) -> list[list[str]]:
-    """Partition into k folds with sizes differing by at most one."""
-    if len(train) < k:
-        raise ValueError(f"need at least {k} users for {k}-fold CV")
-    order = np.random.default_rng(seed).permutation(len(train))
-    return [[train[i] for i in order[f::k]] for f in range(k)]
-
-
 def unknown_fraction(pred_labels: Sequence[str]) -> float:
     if not pred_labels:
         return 0.0

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from . import classify, evaluation, resources
 from .corpus import (
+    Tweet,
     UserRecord,
     assemble_documents,
     filter_users,
@@ -78,6 +79,33 @@ class CorpusBundle:
     documents: dict = field(default_factory=dict)
 
 
+def build_lexicon(tweets: Sequence[Tweet], cfg: PipelineConfig) -> Lexicon:
+    """Election-window lexicon, expanded with skip-gram neighbours when
+    cfg.expand_with_embedding is set."""
+    lexicon = induce_lexicon(
+        tweets,
+        resources.election_periods(),
+        min_tweets=cfg.lexicon_min_tweets,
+        threshold=cfg.lexicon_threshold,
+        denylist=resources.ambiguous_words(),
+        manual_add=resources.manual_additions(),
+    )
+    if cfg.expand_with_embedding:
+        from .skipgram import train_skipgram
+
+        emb = train_skipgram(
+            [tokenize(t.text) for t in tweets],
+            window=cfg.embedding_window,
+            min_freq=cfg.embedding_min_freq,
+            dim=cfg.embedding_dim,
+            negatives=cfg.embedding_negatives,
+            epochs=cfg.embedding_epochs,
+            seed=cfg.seed,
+        )
+        lexicon = expand_lexicon(emb, lexicon, denylist=resources.ambiguous_words())
+    return lexicon
+
+
 def load_corpus(tweets_path, vaa_path, friends_path, cfg: PipelineConfig) -> CorpusBundle:
     """Ingest, filter, score ground truth and induce the lexicon."""
     tweets = load_tweets(tweets_path)
@@ -91,29 +119,7 @@ def load_corpus(tweets_path, vaa_path, friends_path, cfg: PipelineConfig) -> Cor
     scores = {u: r.normalized_score for u, r in records.items() if u in users}
     logger.info("%d users with ground-truth labels", len(labels))
 
-    periods = resources.election_periods()
-    lexicon = induce_lexicon(
-        tweets,
-        periods,
-        min_tweets=cfg.lexicon_min_tweets,
-        threshold=cfg.lexicon_threshold,
-        denylist=resources.ambiguous_words(),
-        manual_add=resources.manual_additions(),
-    )
-    if cfg.expand_with_embedding:
-        from .skipgram import train_skipgram
-
-        sentences = [tokenize(t.text) for t in tweets]
-        emb = train_skipgram(
-            sentences,
-            window=cfg.embedding_window,
-            min_freq=cfg.embedding_min_freq,
-            dim=cfg.embedding_dim,
-            negatives=cfg.embedding_negatives,
-            epochs=cfg.embedding_epochs,
-            seed=cfg.seed,
-        )
-        lexicon = expand_lexicon(emb, lexicon, denylist=resources.ambiguous_words())
+    lexicon = build_lexicon(tweets, cfg)
 
     friends = load_friends(friends_path) if friends_path else {}
     friends = {u: f for u, f in friends.items() if u in users}
@@ -167,26 +173,34 @@ def network_features(
     train_net = build_network_matrix(
         {u: friends.get(u, []) for u in train_users}, sparsity
     )
-    cols = train_net.col_ids
-    col_index = {a: j for j, a in enumerate(cols)}
+    return train_net, align_network(friends, other_users, train_net.col_ids)
+
+
+def align_network(
+    friends: Mapping[str, Sequence[str]],
+    users: Sequence[str],
+    columns: Sequence[str],
+) -> SparseDFM:
+    """0/1 follow matrix of users over fixed account columns; accounts
+    outside the columns are ignored."""
+    col_index = {a: j for j, a in enumerate(columns)}
     rows, cols_idx = [], []
-    for i, uid in enumerate(other_users):
+    for i, uid in enumerate(users):
         for account in set(friends.get(uid, ())):
             j = col_index.get(account)
             if j is not None:
                 rows.append(i)
                 cols_idx.append(j)
-    other = SparseDFM(
+    return SparseDFM(
         sp.csr_matrix(
             (np.ones(len(rows)), (rows, cols_idx)),
-            shape=(len(other_users), len(cols)),
+            shape=(len(users), len(columns)),
             dtype=np.float64,
         ),
-        tuple(other_users),
-        cols,
+        tuple(users),
+        tuple(columns),
         "network",
     )
-    return train_net, other
 
 
 def _hybrid(theta: np.ndarray, users: Sequence[str], net: SparseDFM) -> tuple[np.ndarray, list[str]]:
@@ -209,6 +223,7 @@ class SampleEvaluation:
     features: dict = field(default_factory=dict, repr=False)
     topic_models: dict = field(default_factory=dict, repr=False)
     split: tuple = ()
+    network_columns: tuple[str, ...] = ()  # accounts learned on the train split
 
 
 def evaluate_sample(
@@ -295,7 +310,8 @@ def evaluate_sample(
                 sample_seed, dataset, family, f1, precision, recall,
             )
     return SampleEvaluation(
-        sample_seed, metrics, models, features, topic_models, (train, test)
+        sample_seed, metrics, models, features, topic_models, (train, test),
+        net_train.col_ids if net_train is not None else (),
     )
 
 

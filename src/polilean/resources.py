@@ -19,11 +19,6 @@ def smart_stopwords() -> frozenset[str]:
     return _read_wordlist("smart_stopwords.txt")
 
 
-def political_words() -> frozenset[str]:
-    """Curated political seed terms (hashtags and mentions included)."""
-    return _read_wordlist("political_words.txt")
-
-
 def ambiguous_words() -> frozenset[str]:
     """Terms excluded from lexicon induction as topically ambiguous."""
     return _read_wordlist("ambiguous_words.txt")

@@ -9,7 +9,6 @@ friend graph follows class hubs with configurable homophily.
 
 import csv
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 

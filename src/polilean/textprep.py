@@ -20,7 +20,7 @@ from .porter import stem as porter_stem
 __all__ = [
     "SparseDFM", "tokenize", "tokenize_matching", "porter_stem",
     "remove_stopwords", "preprocess_tweet", "build_ngrams", "build_dfm",
-    "trim_sparse", "build_network_matrix", "join_features",
+    "trim_sparse", "build_network_matrix",
     "save_dfm", "load_dfm",
 ]
 
@@ -33,8 +33,7 @@ _NON_MATCH_RE = re.compile(r"[^a-z0-9#@_]+")
 class SparseDFM:
     """Users-by-features count matrix in CSR form.
 
-    kind is "text" (n-gram counts), "network" (0/1 follow indicators)
-    or "hybrid" (topic proportions joined with network columns).
+    kind is "text" (n-gram counts) or "network" (0/1 follow indicators).
     """
 
     matrix: sp.csr_matrix
@@ -51,10 +50,6 @@ class SparseDFM:
     @property
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
-
-    def row(self, user_id: str) -> np.ndarray:
-        i = self.row_ids.index(user_id)
-        return np.asarray(self.matrix[i].todense()).ravel()
 
 
 def tokenize(text: str) -> list[str]:
@@ -78,21 +73,10 @@ def remove_stopwords(tokens: Iterable[str], stopwords: frozenset[str]) -> list[s
     return [t for t in tokens if t not in stopwords]
 
 
-def preprocess_tweet(
-    text: str,
-    stopwords: frozenset[str],
-    stem_after_stopwords: bool = True,
-) -> list[str]:
-    """Tokens of one tweet ready for n-gram assembly.
-
-    By default stopwords are removed from raw tokens and the survivors
-    are stemmed. Set stem_after_stopwords=False to stem first and check
-    the stemmed forms against the list instead.
-    """
-    tokens = tokenize(text)
-    if stem_after_stopwords:
-        return [porter_stem(t) for t in remove_stopwords(tokens, stopwords)]
-    return remove_stopwords([porter_stem(t) for t in tokens], stopwords)
+def preprocess_tweet(text: str, stopwords: frozenset[str]) -> list[str]:
+    """Tokens of one tweet ready for n-gram assembly: stopwords are
+    removed from the raw tokens and the survivors are stemmed."""
+    return [porter_stem(t) for t in remove_stopwords(tokenize(text), stopwords)]
 
 
 def build_ngrams(stems: Sequence[str], orders: Iterable[int] = (1, 2, 3)) -> Counter:
@@ -176,24 +160,6 @@ def build_network_matrix(
     )
     dfm = SparseDFM(matrix, tuple(sets), tuple(accounts), "network")
     return trim_sparse(dfm, sparsity)
-
-
-def join_features(
-    theta: np.ndarray, theta_row_ids: Sequence[str], net: SparseDFM
-) -> SparseDFM:
-    """Concatenate topic proportions with network columns on shared users."""
-    net_index = {u: i for i, u in enumerate(net.row_ids)}
-    shared = [(i, net_index[u], u) for i, u in enumerate(theta_row_ids) if u in net_index]
-    if not shared:
-        raise ValueError("no users shared between text and network features")
-    t_rows = np.array([s[0] for s in shared])
-    n_rows = np.array([s[1] for s in shared])
-    row_ids = tuple(s[2] for s in shared)
-    left = sp.csr_matrix(theta[t_rows])
-    right = net.matrix[n_rows]
-    matrix = sp.csr_matrix(sp.hstack([left, right]))
-    topic_cols = tuple(f"topic_{k}" for k in range(theta.shape[1]))
-    return SparseDFM(matrix, row_ids, topic_cols + net.col_ids, "hybrid")
 
 
 def save_dfm(dfm: SparseDFM, triplet_path, header_path) -> None:

@@ -5,9 +5,14 @@ import csv
 import json
 import os
 
+from datetime import datetime, timezone
+
+import numpy as np
 import pytest
 
-from polilean import cli
+from polilean import cli, pipeline, resources
+from polilean.corpus import Tweet, UserRecord, assemble_documents, group_tweets, load_friends, load_tweets
+from polilean.newsstudy import project_features
 from polilean.polex import Lexicon
 from polilean.textprep import load_dfm
 from polilean.topics import load_topic_model
@@ -236,6 +241,77 @@ class TestTrainPredict:
         assert political_total == 8 and sport_total == 4
         assert os.path.exists(out / "sharer_predictions.csv")
 
+    def test_newsstudy_uses_the_bundles_dataset(self, work):
+        # a text-only bundle has no network_columns.json; newsstudy must
+        # read the dataset from train_meta.json as predict does
+        tmp = work["tmp"]
+        model = tmp / "model_nonpol_nb"
+        assert _run(tmp, "train", {
+            "tweets": work["tweets"], "vaa": work["vaa"], "out": str(model),
+            "dataset": "non-pol", "family": "NB", **COMMON,
+        }) == 0
+        assert not os.path.exists(model / "network_columns.json")
+        shares = tmp / "shares_nonpol.jsonl"
+        with open(shares, "w") as fh:
+            for i in range(6):
+                fh.write(json.dumps({
+                    "user_id": f"u{i:05d}",
+                    "url": "https://www.theguardian.com/politics/2018/jun/1/x",
+                }) + "\n")
+        out = tmp / "news_nonpol"
+        code = _run(tmp, "newsstudy", {
+            "shares": str(shares), "tweets": work["tweets"],
+            "model_dir": str(model), "out": str(out), **COMMON,
+        })
+        assert code == 0
+        with open(out / "sharer_predictions.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 6
+
+    def test_prediction_network_block_is_the_aligned_matrix(self, work, trained, tmp_path):
+        with open(os.path.join(trained, "network_columns.json")) as fh:
+            columns = json.load(fh)["columns"]
+        # zz_empty has neither text features nor follows, zz_follow only
+        # follows, and u00000 only text
+        users = group_tweets(load_tweets(work["tweets"]))
+        for uid in ("zz_empty", "zz_follow"):
+            users[uid] = UserRecord(uid, [
+                Tweet(uid, datetime(2016, 1, d + 1, tzinfo=timezone.utc), "the and of it")
+                for d in range(12)
+            ])
+        friends = load_friends(work["friends"])
+        friends["zz_follow"] = columns[:2]
+        del friends["u00000"]
+        friends_path = tmp_path / "friends.jsonl"
+        with open(friends_path, "w") as fh:
+            for uid, accounts in friends.items():
+                fh.write(json.dumps({"user_id": uid, "friends": accounts}) + "\n")
+        lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
+        docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
+        user_ids = sorted(docs)
+        cfg = cli._pipeline_config(COMMON)
+        features, unknown = cli._prediction_features(
+            {"friends": str(friends_path)}, cfg, trained, "non-pol+net", docs, user_ids
+        )
+
+        net = pipeline.align_network(friends, user_ids, columns).matrix.toarray()
+        tmodel = load_topic_model(
+            os.path.join(trained, "topic_model.json"), os.path.join(trained, "topic_beta.csv")
+        )
+        block = features[:, tmodel.k:]
+        assert block.dtype == net.dtype and block.shape == net.shape
+        assert block.tobytes() == net.tobytes()
+
+        stopwords = resources.smart_stopwords()
+        counts = {
+            uid: pipeline.user_feature_counts(docs[uid].nonpolitical_tweets, stopwords)
+            for uid in user_ids
+        }
+        text = np.asarray(project_features(counts, tmodel.vocab).matrix.sum(axis=1)).ravel()
+        expected = [u for u, t, n in zip(user_ids, text, net.sum(axis=1)) if t == 0 and n == 0]
+        assert unknown == expected
+        assert "zz_empty" in unknown
+        assert "zz_follow" not in unknown and "u00000" not in unknown
+
 
 class TestEval:
     def test_eval_report(self, work):
@@ -308,6 +384,20 @@ class TestConfigErrors:
         })
         assert code == 2
         assert "model_dir" in capsys.readouterr().err
+
+    def test_newsstudy_requires_model_artifacts(self, tmp_path, capsys):
+        shares = tmp_path / "shares.jsonl"
+        shares.write_text(json.dumps({
+            "user_id": "u00000", "url": "https://www.bbc.co.uk/sport/football/9",
+        }) + "\n")
+        tweets = tmp_path / "tweets.jsonl"
+        tweets.write_text("")
+        code = _run(tmp_path, "newsstudy", {
+            "shares": str(shares), "tweets": str(tweets),
+            "model_dir": str(tmp_path), "out": str(tmp_path / "n"),
+        })
+        assert code == 2
+        assert "missing classifier.json" in capsys.readouterr().err
 
 
 class TestStageErrors:

@@ -215,9 +215,8 @@ class TestAssembleDocuments:
         assert doc.tweet_count == 3
         assert doc.political_tweet_count == 1
         assert doc.political_tweets == ("vote #GE2015 now",)
-        # non-political stream sorted by timestamp, joined with newlines
+        # non-political stream sorted by timestamp
         assert doc.nonpolitical_tweets == ("early plain tweet", "late plain tweet")
-        assert doc.nonpolitical_text == "early plain tweet\nlate plain tweet"
         assert len(doc.political_tweets) + len(doc.nonpolitical_tweets) == doc.tweet_count
 
     def test_empty_lexicon_marks_nothing_political(self):

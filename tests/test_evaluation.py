@@ -115,16 +115,11 @@ class TestSplitAndFolds:
             evaluation.split(["a", "b"], {"a": "Left", "b": "Right"})
 
     def test_kfold_partitions_evenly(self):
-        users = [f"u{i}" for i in range(10)]
-        folds = evaluation.kfold(users, k=3, seed=0)
+        folds = classify._fold_indices(10, 3, seed=0)
         assert len(folds) == 3
-        assert sorted(u for f in folds for u in f) == sorted(users)
+        assert sorted(i for f in folds for i in f) == list(range(10))
         sizes = sorted(len(f) for f in folds)
         assert sizes == [3, 3, 4]
-
-    def test_kfold_needs_enough_users(self):
-        with pytest.raises(ValueError, match="10-fold"):
-            evaluation.kfold(["a", "b"], k=10)
 
 
 class TestThresholds:
@@ -183,9 +178,9 @@ class TestThresholds:
 
 class TestDiagnostics:
     def test_activity_index(self):
-        user = UserDocument("u", "", "", 3, 9, 12, 3)
+        user = UserDocument("u", ("p",) * 3, ("n",) * 9, 12, 3)
         assert evaluation.activity_index(user) == 0.25
-        empty = UserDocument("v", "", "", 0, 0, 0, 0)
+        empty = UserDocument("v", (), (), 0, 0)
         with pytest.raises(ValueError, match="no tweets"):
             evaluation.activity_index(empty)
 

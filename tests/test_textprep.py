@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polilean.pipeline import _hybrid
 from polilean.textprep import (
     SparseDFM,
     build_dfm,
     build_network_matrix,
     build_ngrams,
-    join_features,
     load_dfm,
     preprocess_tweet,
     remove_stopwords,
@@ -70,11 +70,6 @@ class TestStopwordsAndPreprocess:
         # default order (stopword check on raw tokens, then stem)
         assert preprocess_tweet("doing the dance", self.STOPS) == ["do", "danc"]
 
-    def test_stem_first_mode(self):
-        assert preprocess_tweet(
-            "doing the dance", self.STOPS, stem_after_stopwords=False
-        ) == ["danc"]
-
     def test_full_chain(self):
         stops = frozenset({"a", "the"})
         assert preprocess_tweet("The runners a running", stops) == ["runner", "run"]
@@ -118,10 +113,6 @@ class TestBuildDfm:
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
             build_dfm({})
-
-    def test_row_lookup(self):
-        dfm = build_dfm({"u": Counter({"a": 5})})
-        assert dfm.row("u").tolist() == [5.0]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -198,23 +189,23 @@ class TestNetworkMatrix:
 
 
 class TestJoinFeatures:
+    """The hybrid join of topic proportions and network columns."""
+
     def test_concatenation_on_shared_users(self):
         theta = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
         net = build_network_matrix(
             {"u1": ["a", "b"], "u2": ["a"], "u9": ["a", "b"]}, sparsity=1.0
         )
-        joined = join_features(theta, ["u1", "u2", "u3"], net)
-        assert joined.row_ids == ("u1", "u2")
-        assert joined.col_ids == ("topic_0", "topic_1", "a", "b")
-        assert joined.kind == "hybrid"
-        dense = np.asarray(joined.matrix.todense())
-        np.testing.assert_allclose(dense, [[0.7, 0.3, 1, 1], [0.2, 0.8, 1, 0]])
+        assert net.col_ids == ("a", "b")
+        joined, users = _hybrid(theta, ["u1", "u2", "u3"], net)
+        assert users == ["u1", "u2"]
+        np.testing.assert_allclose(joined, [[0.7, 0.3, 1, 1], [0.2, 0.8, 1, 0]])
 
     def test_disjoint_users_rejected(self):
         theta = np.array([[1.0]])
         net = build_network_matrix({"x": ["a", "b"], "y": ["a", "b"]}, sparsity=1.0)
         with pytest.raises(ValueError, match="no users shared"):
-            join_features(theta, ["unrelated"], net)
+            _hybrid(theta, ["unrelated"], net)
 
 
 class TestSaveLoad:
