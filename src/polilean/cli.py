@@ -457,30 +457,17 @@ def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
 
 
 def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
-    """Assemble feature rows for new users matching a trained bundle.
-    Users with no surviving text feature, and with no follow hit when the
-    bundle has network columns, are returned as unknown."""
-    blocks = []
-    unknown: set[str] = set()
+    """Feature rows for new users matching a trained bundle, built as
+    evaluation builds test users' rows, and the users to label Unknown
+    (see pipeline.join_features)."""
+    text = net = None
     if dataset != "net":
         tm_header = os.path.join(model_dir, "topic_model.json")
-        tm_beta = os.path.join(model_dir, "topic_beta.csv")
         if not os.path.exists(tm_header):
             raise ConfigError("field 'model_dir': missing topic_model.json")
-        tmodel = load_topic_model(tm_header, tm_beta)
-        stopwords = resources.smart_stopwords()
-        counts = {}
-        for uid in user_ids:
-            doc = docs[uid]
-            texts = doc.political_tweets if dataset.startswith("pol") else doc.nonpolitical_tweets
-            counts[uid] = pipeline.user_feature_counts(texts, stopwords, cfg.ngram_orders)
-        projected = newsstudy.project_features(counts, tmodel.vocab, config.get("min_total_freq", 3))
-        unknown = {
-            uid
-            for uid, row in zip(user_ids, np.asarray(projected.matrix.sum(axis=1)).ravel())
-            if row == 0
-        }
-        blocks.append(fold_in(projected, tmodel))
+        tmodel = load_topic_model(tm_header, os.path.join(model_dir, "topic_beta.csv"))
+        which = "pol" if dataset.startswith("pol") else "nonpol"
+        text = pipeline.fold_in_users(docs, user_ids, which, tmodel, cfg.ngram_orders)
     if dataset.endswith("net"):
         net_path = os.path.join(model_dir, "network_columns.json")
         if not os.path.exists(net_path):
@@ -488,10 +475,8 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
         with open(net_path) as fh:
             columns = json.load(fh)["columns"]
         friends = load_friends(config["friends"]) if config.get("friends") else {}
-        net = pipeline.align_network(friends, user_ids, columns).matrix
-        blocks.append(net.toarray())
-        unknown &= {uid for uid, hits in zip(user_ids, net.getnnz(axis=1)) if not hits}
-    return np.hstack(blocks), sorted(unknown)
+        net = pipeline.align_network(friends, user_ids, columns)
+    return pipeline.join_features(user_ids, text, net)
 
 
 def cmd_newsstudy(args) -> int:

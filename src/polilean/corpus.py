@@ -105,13 +105,16 @@ def load_friends(path) -> dict[str, list[str]]:
 
 
 def load_vaa_results(path) -> list[VaaResult]:
-    """Read long-format CSV (user_id, vaa, party, match) into VaaResults."""
+    """Read long-format CSV (user_id, vaa, party, match) into VaaResults;
+    malformed rows are logged and skipped."""
     grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
-            grouped[(str(rec["user_id"]), rec["vaa"])][rec["party"]] = float(
-                rec["match"]
-            )
+        reader = csv.DictReader(fh)
+        for rec in reader:
+            try:
+                grouped[(str(rec["user_id"]), rec["vaa"])][rec["party"]] = float(rec["match"])
+            except (KeyError, TypeError, ValueError) as exc:
+                logger.warning("%s line %d: skipped (%s)", path, reader.line_num, exc)
     return [
         VaaResult(user_id=u, vaa_source=v, party_matches=parties)
         for (u, v), parties in grouped.items()
@@ -170,9 +173,17 @@ def merge_multi_vaa(records: Sequence[LeaningRecord]) -> LeaningRecord | None:
 def ground_truth_labels(
     results: Iterable[VaaResult], flip_sign: bool = False
 ) -> dict[str, LeaningRecord]:
-    """Full scoring pipeline: normalize per platform, merge per user,
-    drop zero-score and conflicting users."""
-    results = list(results)
+    """Full scoring pipeline: drop results lacking a Conservative or
+    Labour match, normalize per platform, merge per user, drop
+    zero-score and conflicting users."""
+    complete = []
+    for v in results:
+        if "Conservative" in v.party_matches and "Labour" in v.party_matches:
+            complete.append(v)
+        else:
+            logger.info("user %s: %s result removed, lacks a Conservative or Labour match",
+                        v.user_id, v.vaa_source)
+    results = complete
     maxima = platform_maxima(results, flip_sign)
     per_user: dict[str, list[LeaningRecord]] = defaultdict(list)
     for v in results:

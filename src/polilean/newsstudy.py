@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .classify import UNKNOWN, Prediction
+from .classify import UNKNOWN, Prediction, apply_threshold, predict
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
@@ -73,40 +73,28 @@ def load_share_events(path, patterns: Sequence[UrlPattern]) -> list[ShareEvent]:
     return events
 
 
-def project_features(
-    docs: Mapping[str, Counter],
-    training_vocab: Sequence[str],
-    min_total_freq: int = 3,
-) -> SparseDFM:
-    """Align new users' feature multisets to a training vocabulary.
+def project_features(docs: Mapping[str, Counter], training_vocab: Sequence[str]) -> SparseDFM:
+    """Align users' feature multisets to a training vocabulary.
 
-    Features with corpus-wide frequency below min_total_freq are
-    dropped, as are features absent from the training vocabulary;
-    training columns never seen here become all-zero columns so the
-    matrix width matches the trained model.
+    Each row depends only on that user's counts: features absent from
+    the training vocabulary are dropped, and training columns a user
+    lacks stay zero, so the matrix width matches the trained model.
     """
-    total: Counter = Counter()
-    for counts in docs.values():
-        total.update(counts)
-    keep = {f for f, n in total.items() if n >= min_total_freq}
     col_index = {f: j for j, f in enumerate(training_vocab)}
     rows, cols, data = [], [], []
     zero_users = []
     row_ids = tuple(docs)
     for i, user in enumerate(row_ids):
-        any_token = False
-        for feat, count in docs[user].items():
-            j = col_index.get(feat)
-            if feat in keep and j is not None:
-                rows.append(i)
-                cols.append(j)
-                data.append(float(count))
-                any_token = True
-        if not any_token:
+        hits = [(col_index[f], float(n)) for f, n in docs[user].items() if f in col_index]
+        if not hits:
             zero_users.append(user)
+        for j, count in hits:
+            rows.append(i)
+            cols.append(j)
+            data.append(count)
     if zero_users:
         logger.warning(
-            "%d users have no surviving text features: %s",
+            "%d users have no in-vocabulary text features: %s",
             len(zero_users),
             ", ".join(zero_users[:5]) + ("..." if len(zero_users) > 5 else ""),
         )
@@ -125,8 +113,6 @@ def classify_sharers(
 ) -> list[Prediction]:
     """Threshold-labelled predictions; users in unknown_users (no usable
     features at all) are forced to Unknown."""
-    from .classify import apply_threshold, predict
-
     p_right = predict(model, features)
     preds = apply_threshold(user_ids, p_right, tau)
     forced = set(unknown_users)

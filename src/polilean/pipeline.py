@@ -7,7 +7,7 @@ everything is seeded.
 
 import logging
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +16,7 @@ import scipy.sparse as sp
 from . import classify, evaluation, resources
 from .corpus import (
     Tweet,
+    UserDocument,
     UserRecord,
     assemble_documents,
     filter_users,
@@ -25,6 +26,7 @@ from .corpus import (
     load_tweets,
     load_vaa_results,
 )
+from .newsstudy import classify_sharers, project_features
 from .polex import Lexicon, expand_lexicon, induce_lexicon
 from .textprep import (
     SparseDFM,
@@ -143,23 +145,44 @@ def user_feature_counts(
     return counts
 
 
+def _side_counts(
+    documents: Mapping[str, UserDocument], users: Sequence[str], which: str, orders: Sequence[int]
+) -> dict[str, Counter]:
+    """Each user's n-gram counts over their political ("pol") or
+    non-political document."""
+    stopwords = resources.smart_stopwords()
+    side = "political_tweets" if which == "pol" else "nonpolitical_tweets"
+    return {
+        uid: user_feature_counts(getattr(documents[uid], side), stopwords, orders) for uid in users
+    }
+
+
 def build_text_dfm(
     bundle: CorpusBundle,
     users: Sequence[str],
     which: str,
     sparsity: float,
     orders: Sequence[int] = (1, 2, 3),
-    trim: bool = True,
 ) -> SparseDFM:
-    """DFM over the chosen users' political or non-political documents."""
-    stopwords = resources.smart_stopwords()
-    docs = {}
-    for uid in users:
-        doc = bundle.documents[uid]
-        texts = doc.political_tweets if which == "pol" else doc.nonpolitical_tweets
-        docs[uid] = user_feature_counts(texts, stopwords, orders)
-    dfm = build_dfm(docs)
-    return trim_sparse(dfm, sparsity) if trim else dfm
+    """Sparsity-trimmed DFM over the chosen users' political or
+    non-political documents; its columns become a topic model's
+    vocabulary."""
+    return trim_sparse(build_dfm(_side_counts(bundle.documents, users, which, orders)), sparsity)
+
+
+def fold_in_users(
+    documents: Mapping[str, UserDocument],
+    users: Sequence[str],
+    which: str,
+    model: TopicModel,
+    orders: Sequence[int] = (1, 2, 3),
+) -> tuple[np.ndarray, list[str]]:
+    """Topic proportions of users the model was not fitted on, one row
+    per user in order, each computed from that user's document and the
+    model alone. Also returns the users with no in-vocabulary feature."""
+    dfm = project_features(_side_counts(documents, users, which, orders), model.vocab)
+    totals = np.asarray(dfm.matrix.sum(axis=1)).ravel()
+    return fold_in(dfm, model), [u for u, n in zip(dfm.row_ids, totals) if n == 0]
 
 
 def network_features(
@@ -203,16 +226,30 @@ def align_network(
     )
 
 
-def _hybrid(theta: np.ndarray, users: Sequence[str], net: SparseDFM) -> tuple[np.ndarray, list[str]]:
-    net_index = {u: i for i, u in enumerate(net.row_ids)}
-    keep = [(i, net_index[u], u) for i, u in enumerate(users) if u in net_index]
-    if not keep:
-        raise ValueError("no users shared between text and network features")
-    t_idx = [i for i, _, _ in keep]
-    n_idx = [j for _, j, _ in keep]
-    kept_users = [u for _, _, u in keep]
-    dense_net = np.asarray(net.matrix[n_idx].todense())
-    return np.hstack([theta[t_idx], dense_net]), kept_users
+def join_features(
+    users: Sequence[str],
+    text: tuple[np.ndarray, Collection[str]] | None = None,
+    net: SparseDFM | None = None,
+) -> tuple[np.ndarray, list[str]]:
+    """Topic proportions, then follow columns, for whichever blocks the
+    dataset has; each block's rows must already be in `users` order.
+    `text` is (theta, users with no text feature). Returns the rows and
+    the users to label Unknown: no text feature (given a text block)
+    and no follow hit (given a network block)."""
+    blocks = []
+    unknown = set(users)
+    if text is not None:
+        theta, no_text = text
+        if theta.shape[0] != len(users):
+            raise ValueError("topic rows are not aligned to the users")
+        blocks.append(theta)
+        unknown &= set(no_text)
+    if net is not None:
+        if tuple(net.row_ids) != tuple(users):
+            raise ValueError("network rows are not aligned to the users")
+        blocks.append(net.matrix.toarray())
+        unknown &= {u for u, hits in zip(users, net.matrix.getnnz(axis=1)) if not hits}
+    return np.hstack(blocks), [u for u in users if u in unknown]
 
 
 @dataclass
@@ -224,6 +261,7 @@ class SampleEvaluation:
     topic_models: dict = field(default_factory=dict, repr=False)
     split: tuple = ()
     network_columns: tuple[str, ...] = ()  # accounts learned on the train split
+    unknown: dict = field(default_factory=dict, repr=False)  # dataset -> forced-Unknown test users
 
 
 def evaluate_sample(
@@ -234,11 +272,10 @@ def evaluate_sample(
     users = sorted(bundle.labels)
     sample = evaluation.balanced_sample(users, bundle.labels, sample_seed)
     train, test = evaluation.split(sample, bundle.labels, cfg.split_ratio, sample_seed)
-    y_train = classify.encode_labels([bundle.labels[u] for u in train])
-    true_test = [bundle.labels[u] for u in test]
 
-    needs = {d for d in cfg.datasets}
+    needs = set(cfg.datasets)
     features: dict[str, tuple[np.ndarray, list[str], np.ndarray, list[str]]] = {}
+    unknown: dict[str, list[str]] = {}
     topic_models: dict[str, TopicModel] = {}
 
     net_train = net_test = None
@@ -246,36 +283,25 @@ def evaluate_sample(
         net_train, net_test = network_features(
             bundle.friends, train, test, cfg.sparsity_net
         )
-        if "net" in needs:
-            features["net"] = (
-                np.asarray(net_train.matrix.todense()),
-                list(train),
-                np.asarray(net_test.matrix.todense()),
-                list(test),
-            )
 
-    for which, sparsity in (("pol", cfg.sparsity_pol), ("non-pol", cfg.sparsity_nonpol)):
-        wanted = {which, f"{which}+net"} & needs
-        if not wanted:
-            continue
+    def join(dataset, text_train, text_test, with_net):
+        if dataset in needs:
+            x_train, _ = join_features(train, text_train, net_train if with_net else None)
+            x_test, unknown[dataset] = join_features(test, text_test, net_test if with_net else None)
+            features[dataset] = (x_train, list(train), x_test, list(test))
+
+    join("net", None, None, True)
+    for which, sparsity in (("pol", cfg.sparsity_pol), ("nonpol", cfg.sparsity_nonpol)):
         key = "pol" if which == "pol" else "non-pol"
-        train_dfm = build_text_dfm(
-            bundle, train, "pol" if key == "pol" else "nonpol", sparsity, cfg.ngram_orders
-        )
+        if not {key, f"{key}+net"} & needs:
+            continue
+        train_dfm = build_text_dfm(bundle, train, which, sparsity, cfg.ngram_orders)
         model = fit_topic_model(train_dfm, cfg.k_topics)
         topic_models[key] = model
-        theta_train = fold_in(train_dfm, model)
-        test_dfm = build_text_dfm(
-            bundle, test, "pol" if key == "pol" else "nonpol", sparsity, cfg.ngram_orders, trim=False
-        )
-        theta_test = fold_in(test_dfm, model)
-        if key in needs:
-            features[key] = (theta_train, list(train), theta_test, list(test))
-        hybrid_key = f"{key}+net"
-        if hybrid_key in needs:
-            x_train, users_train = _hybrid(theta_train, train, net_train)
-            x_test, users_test = _hybrid(theta_test, test, net_test)
-            features[hybrid_key] = (x_train, users_train, x_test, users_test)
+        text_train = (fold_in(train_dfm, model), ())
+        text_test = fold_in_users(bundle.documents, test, which, model, cfg.ngram_orders)
+        join(key, text_train, text_test, False)
+        join(f"{key}+net", text_train, text_test, True)
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     models: dict[tuple[str, str], classify.ClassifierModel] = {}
@@ -295,8 +321,8 @@ def evaluate_sample(
                 mask[k:] = True
                 hyper["binary_mask"] = mask
             model = classify.train_model(family, x_tr, y_tr, seed=sample_seed, **hyper)
-            p = classify.predict(model, x_te)
-            pred = [classify.label_for(float(pi), cfg.tau) for pi in p]
+            preds = classify_sharers(x_te, users_te, model, cfg.tau, unknown[dataset])
+            pred = [p.label for p in preds]
             precision, recall, f1 = evaluation.prf(pred, true_te)
             metrics[dataset][family] = {
                 "precision": precision,
@@ -311,7 +337,7 @@ def evaluate_sample(
             )
     return SampleEvaluation(
         sample_seed, metrics, models, features, topic_models, (train, test),
-        net_train.col_ids if net_train is not None else (),
+        net_train.col_ids if net_train is not None else (), unknown,
     )
 
 

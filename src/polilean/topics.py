@@ -185,12 +185,12 @@ def recover_beta(
     return beta, residuals
 
 
-def infer_theta(
-    counts, beta: np.ndarray, max_iter: int = 200, rel_tol: float = 1e-8
-) -> np.ndarray:
+def infer_theta(counts, beta: np.ndarray, max_iter: int = 200) -> np.ndarray:
     """Topic proportions for one or more documents by EM folding-in.
 
-    Rows of `counts` are documents aligned to beta's vocabulary. Any
+    Rows of `counts` are documents aligned to beta's vocabulary. Each
+    row is updated on its own for exactly max_iter steps, so a
+    document's proportions do not depend on the other rows. Any
     all-zero row (out-of-vocabulary document) gets uniform proportions.
     """
     if hasattr(counts, "todense"):
@@ -200,9 +200,7 @@ def infer_theta(
         arr = np.asarray(counts, dtype=np.float64)
         single = arr.ndim == 1
         h = np.atleast_2d(arr)
-    d, v = h.shape
-    k = beta.shape[0]
-    theta = np.full((d, k), 1.0 / k)
+    theta = np.full((h.shape[0], beta.shape[0]), 1.0 / beta.shape[0])
     empty = h.sum(axis=1) == 0
     if empty.any():
         logger.warning("%d documents have no in-vocabulary tokens; uniform theta", int(empty.sum()))
@@ -210,31 +208,22 @@ def infer_theta(
     if active.any():
         ha = h[active]
         ta = theta[active]
-        prev_ll = -np.inf
         for _ in range(max_iter):
             p = ta @ beta
             np.clip(p, 1e-300, None, out=p)
-            ll = float((ha * np.log(p)).sum())
             ta *= (ha / p) @ beta.T
             ta /= ta.sum(axis=1, keepdims=True)
-            if prev_ll != -np.inf and abs(ll - prev_ll) < rel_tol * abs(prev_ll):
-                break
-            prev_ll = ll
         theta[active] = ta
     return theta[0] if single else theta
 
 
 def fold_in(dfm: SparseDFM, model: TopicModel) -> np.ndarray:
-    """Theta for a DFM whose columns are a superset/subset of the model
-    vocabulary; unseen columns are ignored, missing ones zero-filled."""
-    col_index = {w: j for j, w in enumerate(dfm.col_ids)}
-    h = np.zeros((dfm.shape[0], len(model.vocab)))
-    present = [(j, col_index[w]) for j, w in enumerate(model.vocab) if w in col_index]
-    if present:
-        dense = np.asarray(dfm.matrix.todense())
-        for j_model, j_dfm in present:
-            h[:, j_model] = dense[:, j_dfm]
-    return infer_theta(h, model.beta)
+    """Theta for a DFM whose columns are the model vocabulary, in order
+    (a training DFM, or new users projected with
+    newsstudy.project_features)."""
+    if tuple(dfm.col_ids) != tuple(model.vocab):
+        raise ValueError("DFM columns are not the topic model's vocabulary")
+    return infer_theta(dfm.matrix, model.beta)
 
 
 def fit_topic_model(

@@ -10,7 +10,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
-from polilean import cli, pipeline, resources
+from polilean import classify, cli, newsstudy, pipeline, resources
 from polilean.corpus import Tweet, UserRecord, assemble_documents, group_tweets, load_friends, load_tweets
 from polilean.newsstudy import project_features
 from polilean.polex import Lexicon
@@ -311,6 +311,77 @@ class TestTrainPredict:
         assert unknown == expected
         assert "zz_empty" in unknown
         assert "zz_follow" not in unknown and "u00000" not in unknown
+
+
+class TestOneFeaturePath:
+    """A user's features depend only on that user and the saved bundle,
+    and evaluation builds test users' rows exactly as predict does."""
+
+    def _predict(self, work, trained, user_ids):
+        cfg = cli._pipeline_config(COMMON)
+        users = group_tweets(load_tweets(work["tweets"]))
+        lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
+        docs = {uid: assemble_documents(users[uid], lexicon) for uid in user_ids}
+        features, unknown = cli._prediction_features(
+            {"friends": work["friends"]}, cfg, trained, "non-pol+net", docs, user_ids
+        )
+        model = classify.load_model(os.path.join(trained, "classifier.json"))
+        preds = newsstudy.classify_sharers(features, user_ids, model, 0.5, unknown)
+        return {p.user_id: p for p in preds}
+
+    def test_prediction_does_not_depend_on_the_batch(self, work, trained):
+        everyone = sorted(group_tweets(load_tweets(work["tweets"])))
+        for uid in ("u00003", "u00031"):
+            alone = self._predict(work, trained, [uid])[uid]
+            i = everyone.index(uid)
+            trio = self._predict(work, trained, everyone[i - 1:i + 2])[uid]
+            full = self._predict(work, trained, everyone[::-1])[uid]
+            for other in (trio, full):
+                assert abs(other.p_right - alone.p_right) <= 1e-12, (uid, alone, other)
+                assert other.label == alone.label
+
+    def test_eval_test_rows_are_the_predict_rows(self, work, trained):
+        cfg = cli._pipeline_config(COMMON)
+        cfg.datasets, cfg.families = ("non-pol+net",), ("SVM_poly",)
+        bundle = pipeline.load_corpus(work["tweets"], work["vaa"], work["friends"], cfg)
+        sample = pipeline.evaluate_sample(bundle, cfg, cfg.seed)
+        _, _, x_test, users_test = sample.features["non-pol+net"]
+        assert users_test == list(sample.split[1])
+
+        users = group_tweets(load_tweets(work["tweets"]))
+        lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
+        docs = {uid: assemble_documents(users[uid], lexicon) for uid in users_test}
+        features, unknown = cli._prediction_features(
+            {"friends": work["friends"]}, cfg, trained, "non-pol+net", docs, users_test
+        )
+        assert features.dtype == x_test.dtype and features.shape == x_test.shape
+        assert features.tobytes() == x_test.tobytes()
+        assert unknown == sample.unknown["non-pol+net"]
+
+    def test_net_bundle_abstains_without_follows(self, work, tmp_path):
+        tmp = work["tmp"]
+        model = tmp / "model_net_nb"
+        assert _run(tmp, "train", {
+            "tweets": work["tweets"], "vaa": work["vaa"], "friends": work["friends"],
+            "out": str(model), "dataset": "net", "family": "NB", **COMMON,
+        }) == 0
+        tweets = tmp_path / "tweets.jsonl"
+        with open(work["tweets"]) as src, open(tweets, "w") as fh:
+            fh.write(src.read())
+            for d in range(12):
+                fh.write(json.dumps({
+                    "user_id": "zz_loner", "timestamp": f"2016-01-{d + 1:02d}T10:00:00Z",
+                    "text": "football match tonight with friends",
+                }) + "\n")
+        out = tmp_path / "preds"
+        assert _run(tmp_path, "predict", {
+            "tweets": str(tweets), "friends": work["friends"], "model_dir": str(model),
+            "out": str(out), "tau": 0.5, **COMMON,
+        }) == 0
+        with open(out / "predictions.csv") as fh:
+            labels = {r["user_id"]: r["label"] for r in csv.DictReader(fh)}
+        assert labels["zz_loner"] == "Unknown"
+        assert len(labels) == 61
 
 
 class TestEval:

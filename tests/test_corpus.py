@@ -90,6 +90,22 @@ class TestLoaders:
         assert keyed[("u1", "P2")] == {"Conservative": 55.0, "Labour": 45.0}
         assert keyed[("u2", "P1")] == {"Conservative": 30.0, "Labour": 70.0}
 
+    def test_load_vaa_results_skips_malformed_rows(self, tmp_path, caplog):
+        path = tmp_path / "vaa.csv"
+        path.write_text(
+            "user_id,vaa,party,match\n"
+            "u1,P1,Conservative,62\n"
+            "u2,P1,Conservative,n/a\n"
+            "u1,P1,Labour,38\n"
+            "u3,P1\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="polilean.corpus"):
+            results = load_vaa_results(path)
+        keyed = {(r.user_id, r.vaa_source): r.party_matches for r in results}
+        assert keyed == {("u1", "P1"): {"Conservative": 62.0, "Labour": 38.0}}
+        assert f"{path} line 3" in caplog.text
+        assert f"{path} line 5" in caplog.text
+
 
 class TestLeaningScores:
     def test_raw_score_direction(self):
@@ -169,6 +185,19 @@ class TestGroundTruthLabels:
         assert math.isclose(labels["left"].normalized_score, -0.6)
         assert math.isclose(labels["other"].normalized_score, 0.5)
         assert "zero" in caplog.text and "flip" in caplog.text
+
+    def test_result_lacking_a_party_is_dropped(self, caplog):
+        results = [
+            _vaa("left", "P1", 40, 43),
+            _vaa("right", "P1", 45, 40),
+            VaaResult("partial", "P1", {"Conservative": 90.0}),  # no Labour match
+        ]
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            labels = ground_truth_labels(results)
+        assert set(labels) == {"left", "right"}
+        # the incomplete result does not enter the platform maximum (5)
+        assert math.isclose(labels["right"].normalized_score, 1.0)
+        assert "partial" in caplog.text and "Labour" in caplog.text
 
 
 class TestFiltering:

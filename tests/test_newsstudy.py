@@ -91,38 +91,32 @@ class TestProjectFeatures:
 
     def test_projection_rules(self, caplog):
         docs = {
-            "u1": Counter({"alpha": 2, "rare": 2, "unseen_feature": 5}),
+            "u1": Counter({"alpha": 2, "gamma": 1, "unseen_feature": 5}),
             "u2": Counter({"alpha": 1, "beta": 4}),
             "u3": Counter({"rare": 0, "unseen_feature": 1}),
         }
-        # corpus totals: alpha=3 (kept), beta=4 (kept), rare=2 (below
-        # the floor), unseen_feature absent from the vocabulary
+        # gamma occurs once in the whole batch and is still kept: no
+        # frequency floor across users; unseen_feature and rare are
+        # absent from the vocabulary
         with caplog.at_level(logging.WARNING, logger="polilean.newsstudy"):
-            dfm = newsstudy.project_features(docs, self.VOCAB, min_total_freq=3)
+            dfm = newsstudy.project_features(docs, self.VOCAB)
         assert dfm.col_ids == self.VOCAB
         assert dfm.row_ids == ("u1", "u2", "u3")
         dense = dfm.matrix.toarray()
         np.testing.assert_array_equal(
             dense,
-            [[2.0, 0.0, 0.0], [1.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
+            [[2.0, 0.0, 1.0], [1.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
         )
         assert "u3" in caplog.text  # flagged as featureless
 
-    def test_frequency_floor_is_inclusive(self):
-        docs = {"u1": Counter({"alpha": 3}), "u2": Counter({"beta": 2})}
-        dfm = newsstudy.project_features(docs, self.VOCAB, min_total_freq=3)
-        dense = dfm.matrix.toarray()
-        np.testing.assert_array_equal(dense[:, 0], [3.0, 0.0])
-        np.testing.assert_array_equal(dense[:, 1], [0.0, 0.0])  # total 2 < 3
-
     def test_identity_projection(self):
         docs = {
-            "u1": Counter({"alpha": 3, "beta": 3}),
-            "u2": Counter({"beta": 3, "gamma": 3}),
+            "u1": Counter({"alpha": 1, "beta": 3}),
+            "u2": Counter({"beta": 2, "gamma": 1}),
         }
-        dfm = newsstudy.project_features(docs, self.VOCAB, min_total_freq=3)
+        dfm = newsstudy.project_features(docs, self.VOCAB)
         np.testing.assert_array_equal(
-            dfm.matrix.toarray(), [[3.0, 3.0, 0.0], [0.0, 3.0, 3.0]]
+            dfm.matrix.toarray(), [[1.0, 3.0, 0.0], [0.0, 2.0, 1.0]]
         )
 
 

@@ -95,13 +95,6 @@ class TestTextDfm:
         # cannot share their full vocabulary
         assert set(pol.col_ids) != set(nonpol.col_ids)
 
-    def test_trim_flag(self, bundle):
-        users = sorted(bundle.labels)[:20]
-        raw = pipeline.build_text_dfm(bundle, users, "nonpol", 0.85, trim=False)
-        trimmed = pipeline.build_text_dfm(bundle, users, "nonpol", 0.85)
-        assert len(trimmed.col_ids) <= len(raw.col_ids)
-        assert set(trimmed.col_ids) <= set(raw.col_ids)
-
 
 class TestNetworkFeatures:
     def test_columns_fit_on_train_only(self, bundle):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from polilean.pipeline import _hybrid
+from polilean.pipeline import align_network, join_features
 from polilean.textprep import (
     SparseDFM,
     build_dfm,
@@ -189,23 +189,31 @@ class TestNetworkMatrix:
 
 
 class TestJoinFeatures:
-    """The hybrid join of topic proportions and network columns."""
+    """The one join of topic proportions and network columns."""
 
     def test_concatenation_on_shared_users(self):
         theta = np.array([[0.7, 0.3], [0.2, 0.8], [0.5, 0.5]])
-        net = build_network_matrix(
-            {"u1": ["a", "b"], "u2": ["a"], "u9": ["a", "b"]}, sparsity=1.0
+        net = align_network(
+            {"u1": ["a", "b"], "u2": ["a"], "u9": ["a", "b"]}, ["u1", "u2", "u3"], ("a", "b")
         )
-        assert net.col_ids == ("a", "b")
-        joined, users = _hybrid(theta, ["u1", "u2", "u3"], net)
-        assert users == ["u1", "u2"]
-        np.testing.assert_allclose(joined, [[0.7, 0.3, 1, 1], [0.2, 0.8, 1, 0]])
+        joined, unknown = join_features(["u1", "u2", "u3"], (theta, ["u2", "u3"]), net)
+        np.testing.assert_allclose(
+            joined, [[0.7, 0.3, 1, 1], [0.2, 0.8, 1, 0], [0.5, 0.5, 0, 0]]
+        )
+        assert unknown == ["u3"]  # no text feature and no follow hit
 
-    def test_disjoint_users_rejected(self):
-        theta = np.array([[1.0]])
-        net = build_network_matrix({"x": ["a", "b"], "y": ["a", "b"]}, sparsity=1.0)
-        with pytest.raises(ValueError, match="no users shared"):
-            _hybrid(theta, ["unrelated"], net)
+    def test_unknown_rule_per_block(self):
+        users = ["u1", "u2"]
+        net = align_network({"u1": ["a"]}, users, ("a",))
+        assert join_features(users, net=net)[1] == ["u2"]
+        assert join_features(users, (np.eye(2), ["u1"]))[1] == ["u1"]
+
+    def test_rows_not_aligned_to_users_rejected(self):
+        net = align_network({"x": ["a"]}, ["x", "y"], ("a",))
+        with pytest.raises(ValueError, match="network rows"):
+            join_features(["y", "x"], net=net)
+        with pytest.raises(ValueError, match="topic rows"):
+            join_features(["x", "y"], (np.array([[1.0]]), ()), net)
 
 
 class TestSaveLoad:

@@ -3,11 +3,13 @@ folding-in, word rankings and prevalence regression."""
 
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polilean.newsstudy import project_features
 from polilean.synthgen import class_mixtures, planted_dfm
 from polilean.textprep import SparseDFM
 from polilean.topics import (
@@ -205,18 +207,19 @@ class TestInferTheta:
 
 
 class TestFoldIn:
+    MODEL = TopicModel(
+        beta=np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]),
+        anchors=(0, 2),
+        vocab=("a", "b", "c"),
+        word_prob=np.array([0.4, 0.3, 0.3]),
+    )
+
     def test_column_alignment(self):
-        model = TopicModel(
-            beta=np.array([[0.6, 0.3, 0.1], [0.1, 0.3, 0.6]]),
-            anchors=(0, 2),
-            vocab=("a", "b", "c"),
-            word_prob=np.array([0.4, 0.3, 0.3]),
-        )
-        # DFM columns: one unknown to the model, one missing ("c")
-        dfm = _dfm_from_counts([[3.0, 7.0, 2.0]], vocab=("b", "unseen", "a"))
-        theta = fold_in(dfm, model)
+        # one feature unknown to the model, one model word ("c") missing
+        counts = {"d0": Counter({"b": 3, "unseen": 7, "a": 2})}
+        theta = fold_in(project_features(counts, self.MODEL.vocab), self.MODEL)
         aligned = np.array([[2.0, 3.0, 0.0]])  # a=2, b=3, c missing
-        np.testing.assert_allclose(theta, infer_theta(aligned, model.beta))
+        np.testing.assert_allclose(theta, infer_theta(aligned, self.MODEL.beta))
 
     def test_fully_out_of_vocabulary_is_uniform(self):
         model = TopicModel(
@@ -225,8 +228,14 @@ class TestFoldIn:
             vocab=("a", "b"),
             word_prob=np.array([0.5, 0.5]),
         )
-        dfm = _dfm_from_counts([[4.0]], vocab=("other",))
+        dfm = project_features({"d0": Counter({"other": 4})}, model.vocab)
         np.testing.assert_allclose(fold_in(dfm, model), 0.5)
+
+    def test_misaligned_columns_rejected(self):
+        for vocab in (("b", "unseen", "a"), ("a", "b"), ("c", "b", "a")):
+            dfm = _dfm_from_counts([[1.0] * len(vocab)], vocab=vocab)
+            with pytest.raises(ValueError, match="vocabulary"):
+                fold_in(dfm, self.MODEL)
 
 
 class TestFitOnPlantedData:
