@@ -282,7 +282,8 @@ def cmd_train(args) -> int:
         raise ConfigError(f"field 'dataset': unknown dataset {dataset!r}")
     if family not in classify.FAMILIES:
         raise ConfigError(f"field 'family': unknown family {family!r}")
-    if dataset.endswith("net") and not config.get("friends"):
+    blocks = pipeline.DATASETS[dataset]
+    if blocks.net and not config.get("friends"):
         raise ConfigError("field 'friends': required for network datasets")
     cfg.datasets = (dataset,)
     cfg.families = (family,)
@@ -295,13 +296,12 @@ def cmd_train(args) -> int:
     lex_path = os.path.join(out, "lexicon.json")
     bundle.lexicon.save(lex_path)
     outputs.append(lex_path)
-    text_key = "pol" if dataset.startswith("pol") else "non-pol"
-    if text_key in sample.topic_models:
+    if blocks.text:
         tm_header = os.path.join(out, "topic_model.json")
         tm_beta = os.path.join(out, "topic_beta.csv")
-        save_topic_model(sample.topic_models[text_key], tm_header, tm_beta)
+        save_topic_model(sample.topic_models[blocks.text], tm_header, tm_beta)
         outputs += [tm_header, tm_beta]
-    if dataset.endswith("net"):
+    if blocks.net:
         net_path = os.path.join(out, "network_columns.json")
         with open(net_path, "w") as fh:
             json.dump({"columns": list(sample.network_columns)}, fh, sort_keys=True, indent=2)
@@ -329,7 +329,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    if any(d.endswith("net") for d in cfg.datasets) and not config.get("friends"):
+    if any(pipeline.DATASETS[d].net for d in cfg.datasets) and not config.get("friends"):
         raise ConfigError("field 'friends': required for network datasets")
     report = pipeline.run_pipeline(
         config["tweets"], config["vaa"], config.get("friends"), cfg
@@ -363,7 +363,7 @@ def cmd_eval(args) -> int:
         thr_path = os.path.join(out, "threshold_table.csv")
         evaluation.write_threshold_csv(thr_path, rows)
         outputs.append(thr_path)
-        k = first.topic_models["non-pol"].k
+        k = first.topic_models["nonpol"].k
         names = [f"topic_{i}" for i in range(k)] + list(first.network_columns)
         ranked = evaluation.permutation_importance(
             model, x_te, [bundle.labels[u] for u in users_te], names, repeats=5, seed=cfg.seed
@@ -429,16 +429,18 @@ def cmd_predict(args) -> int:
 
 def _bundle_meta(config) -> dict:
     """Check the bundle that `train` saved under model_dir and return its
-    train_meta.json (empty when absent)."""
+    train_meta.json, whose dataset decides the features."""
     model_dir = config["model_dir"]
-    for name in ("classifier.json", "lexicon.json"):
+    for name in ("classifier.json", "lexicon.json", "train_meta.json"):
         if not os.path.exists(os.path.join(model_dir, name)):
             raise ConfigError(f"field 'model_dir': missing {name}")
-    meta_path = os.path.join(model_dir, "train_meta.json")
-    if not os.path.exists(meta_path):
-        return {}
-    with open(meta_path) as fh:
-        return json.load(fh)
+    with open(os.path.join(model_dir, "train_meta.json")) as fh:
+        meta = json.load(fh)
+    if meta.get("dataset") not in pipeline.DATASETS:
+        raise ConfigError(
+            f"field 'model_dir': unknown dataset {meta.get('dataset')!r} in train_meta.json"
+        )
+    return meta
 
 
 def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
@@ -447,11 +449,10 @@ def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
     model_dir = config["model_dir"]
     model = classify.load_model(os.path.join(model_dir, "classifier.json"))
     lexicon = Lexicon.load(os.path.join(model_dir, "lexicon.json"))
-    dataset = config.get("dataset", meta.get("dataset", "non-pol+net"))
     docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
     user_ids = sorted(docs)
     features, unknown_users = _prediction_features(
-        config, cfg, model_dir, dataset, docs, user_ids
+        config, cfg, model_dir, meta["dataset"], docs, user_ids
     )
     return newsstudy.classify_sharers(features, user_ids, model, tau, unknown_users)
 
@@ -460,15 +461,15 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
     """Feature rows for new users matching a trained bundle, built as
     evaluation builds test users' rows, and the users to label Unknown
     (see pipeline.join_features)."""
+    blocks = pipeline.DATASETS[dataset]
     text = net = None
-    if dataset != "net":
+    if blocks.text:
         tm_header = os.path.join(model_dir, "topic_model.json")
         if not os.path.exists(tm_header):
             raise ConfigError("field 'model_dir': missing topic_model.json")
         tmodel = load_topic_model(tm_header, os.path.join(model_dir, "topic_beta.csv"))
-        which = "pol" if dataset.startswith("pol") else "nonpol"
-        text = pipeline.fold_in_users(docs, user_ids, which, tmodel, cfg.ngram_orders)
-    if dataset.endswith("net"):
+        text = pipeline.fold_in_users(docs, user_ids, blocks.text, tmodel, cfg.ngram_orders)
+    if blocks.net:
         net_path = os.path.join(model_dir, "network_columns.json")
         if not os.path.exists(net_path):
             raise ConfigError("field 'model_dir': missing network_columns.json")

@@ -4,6 +4,7 @@ scores; user filtering; per-user political/non-political documents."""
 import csv
 import json
 import logging
+import math
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -106,13 +107,16 @@ def load_friends(path) -> dict[str, list[str]]:
 
 def load_vaa_results(path) -> list[VaaResult]:
     """Read long-format CSV (user_id, vaa, party, match) into VaaResults;
-    malformed rows are logged and skipped."""
+    malformed rows, non-finite matches included, are logged and skipped."""
     grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
             try:
-                grouped[(str(rec["user_id"]), rec["vaa"])][rec["party"]] = float(rec["match"])
+                match = float(rec["match"])
+                if not math.isfinite(match):
+                    raise ValueError(f"non-finite match {rec['match']!r}")
+                grouped[(str(rec["user_id"]), rec["vaa"])][rec["party"]] = match
             except (KeyError, TypeError, ValueError) as exc:
                 logger.warning("%s line %d: skipped (%s)", path, reader.line_num, exc)
     return [

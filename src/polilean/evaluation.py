@@ -1,9 +1,8 @@
 """Sampling, splits, metrics and diagnostics for the classifiers.
 
 Positive class for precision/recall/F1 is Right throughout (the
-minority class in the motivating data); a macro-averaged variant is
-available by flag. Unknown predictions never enter the confusion
-matrix; their share is reported separately.
+minority class in the motivating data). Unknown predictions never
+enter the confusion matrix; their share is reported separately.
 """
 
 import csv
@@ -82,46 +81,29 @@ def unknown_fraction(pred_labels: Sequence[str]) -> float:
     return sum(1 for p in pred_labels if p == UNKNOWN) / len(pred_labels)
 
 
-def _binary_prf(pred, true, positive: str) -> tuple[float, float, float]:
-    tp = sum(1 for p, t in zip(pred, true) if p == positive and t == positive)
-    fp = sum(1 for p, t in zip(pred, true) if p == positive and t != positive)
-    fn = sum(
-        1
-        for p, t in zip(pred, true)
-        if p != positive and p != UNKNOWN and t == positive
-    )
+def prf(
+    pred_labels: Sequence[str], true_labels: Sequence[str]
+) -> tuple[float, float, float]:
+    """(precision, recall, F1) of Right over covered (non-Unknown) predictions."""
+    covered = [(p, t) for p, t in zip(pred_labels, true_labels) if p != UNKNOWN]
+    if not covered:
+        logger.warning("all predictions Unknown; metrics reported as 0")
+        return 0.0, 0.0, 0.0
+    tp = sum(1 for p, t in covered if p == RIGHT and t == RIGHT)
+    fp = sum(1 for p, t in covered if p == RIGHT and t != RIGHT)
+    fn = sum(1 for p, t in covered if p != RIGHT and t == RIGHT)
     if tp + fp == 0:
-        logger.warning("no %s predictions; precision reported as 0", positive)
+        logger.warning("no %s predictions; precision reported as 0", RIGHT)
         precision = 0.0
     else:
         precision = tp / (tp + fp)
     if tp + fn == 0:
-        logger.warning("no covered %s ground truth; recall reported as 0", positive)
+        logger.warning("no covered %s ground truth; recall reported as 0", RIGHT)
         recall = 0.0
     else:
         recall = tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
     return precision, recall, f1
-
-
-def prf(
-    pred_labels: Sequence[str],
-    true_labels: Sequence[str],
-    average: str = "binary",
-) -> tuple[float, float, float]:
-    """(precision, recall, F1) over covered (non-Unknown) predictions."""
-    covered = [(p, t) for p, t in zip(pred_labels, true_labels) if p != UNKNOWN]
-    if not covered:
-        logger.warning("all predictions Unknown; metrics reported as 0")
-        return 0.0, 0.0, 0.0
-    pred = [p for p, _ in covered]
-    true = [t for _, t in covered]
-    if average == "binary":
-        return _binary_prf(pred, true, RIGHT)
-    if average == "macro":
-        parts = [_binary_prf(pred, true, cls) for cls in (LEFT, RIGHT)]
-        return tuple(float(np.mean([p[i] for p in parts])) for i in range(3))
-    raise ValueError(f"unknown averaging {average!r}")
 
 
 def threshold_table(

@@ -13,9 +13,6 @@ from collections import Counter, defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.sparse as sp
-
 from .classify import UNKNOWN, Prediction, apply_threshold, predict
 from .textprep import SparseDFM
 
@@ -80,28 +77,16 @@ def project_features(docs: Mapping[str, Counter], training_vocab: Sequence[str])
     the training vocabulary are dropped, and training columns a user
     lacks stay zero, so the matrix width matches the trained model.
     """
-    col_index = {f: j for j, f in enumerate(training_vocab)}
-    rows, cols, data = [], [], []
-    zero_users = []
     row_ids = tuple(docs)
-    for i, user in enumerate(row_ids):
-        hits = [(col_index[f], float(n)) for f, n in docs[user].items() if f in col_index]
-        if not hits:
-            zero_users.append(user)
-        for j, count in hits:
-            rows.append(i)
-            cols.append(j)
-            data.append(count)
+    dfm = SparseDFM.from_rows(row_ids, (docs[u] for u in row_ids), training_vocab, "text")
+    zero_users = dfm.empty_rows()
     if zero_users:
         logger.warning(
             "%d users have no in-vocabulary text features: %s",
             len(zero_users),
             ", ".join(zero_users[:5]) + ("..." if len(zero_users) > 5 else ""),
         )
-    matrix = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(row_ids), len(training_vocab)), dtype=np.float64
-    )
-    return SparseDFM(matrix, row_ids, tuple(training_vocab), "text")
+    return dfm
 
 
 def classify_sharers(

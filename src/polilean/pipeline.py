@@ -9,9 +9,9 @@ import logging
 from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import classify, evaluation, resources
 from .corpus import (
@@ -41,7 +41,23 @@ from .topics import TopicModel, fit_topic_model, fold_in
 
 logger = logging.getLogger(__name__)
 
-DATASETS = ("pol", "pol+net", "non-pol", "non-pol+net", "net")
+
+class Blocks(NamedTuple):
+    """The feature blocks of one dataset: the text side whose topic
+    proportions it uses ("pol", "nonpol" or None) and whether it adds
+    the follow block."""
+
+    text: str | None
+    net: bool
+
+
+DATASETS = {
+    "pol": Blocks("pol", False),
+    "pol+net": Blocks("pol", True),
+    "non-pol": Blocks("nonpol", False),
+    "non-pol+net": Blocks("nonpol", True),
+    "net": Blocks(None, True),
+}
 
 
 @dataclass
@@ -61,7 +77,7 @@ class PipelineConfig:
     min_english: float = 0.75
     min_tweets: int = 100
     ngram_orders: tuple[int, ...] = (1, 2, 3)
-    datasets: tuple[str, ...] = DATASETS
+    datasets: tuple[str, ...] = tuple(DATASETS)
     families: tuple[str, ...] = classify.FAMILIES
     tau: float = 0.5
     n_samples: int = 1
@@ -181,8 +197,7 @@ def fold_in_users(
     per user in order, each computed from that user's document and the
     model alone. Also returns the users with no in-vocabulary feature."""
     dfm = project_features(_side_counts(documents, users, which, orders), model.vocab)
-    totals = np.asarray(dfm.matrix.sum(axis=1)).ravel()
-    return fold_in(dfm, model), [u for u, n in zip(dfm.row_ids, totals) if n == 0]
+    return fold_in(dfm, model), dfm.empty_rows()
 
 
 def network_features(
@@ -206,24 +221,8 @@ def align_network(
 ) -> SparseDFM:
     """0/1 follow matrix of users over fixed account columns; accounts
     outside the columns are ignored."""
-    col_index = {a: j for j, a in enumerate(columns)}
-    rows, cols_idx = [], []
-    for i, uid in enumerate(users):
-        for account in set(friends.get(uid, ())):
-            j = col_index.get(account)
-            if j is not None:
-                rows.append(i)
-                cols_idx.append(j)
-    return SparseDFM(
-        sp.csr_matrix(
-            (np.ones(len(rows)), (rows, cols_idx)),
-            shape=(len(users), len(columns)),
-            dtype=np.float64,
-        ),
-        tuple(users),
-        tuple(columns),
-        "network",
-    )
+    rows = (dict.fromkeys(set(friends.get(uid, ())), 1.0) for uid in users)
+    return SparseDFM.from_rows(users, rows, columns, "network")
 
 
 def join_features(
@@ -248,7 +247,7 @@ def join_features(
         if tuple(net.row_ids) != tuple(users):
             raise ValueError("network rows are not aligned to the users")
         blocks.append(net.matrix.toarray())
-        unknown &= {u for u, hits in zip(users, net.matrix.getnnz(axis=1)) if not hits}
+        unknown &= set(net.empty_rows())
     return np.hstack(blocks), [u for u in users if u in unknown]
 
 
@@ -258,7 +257,7 @@ class SampleEvaluation:
     metrics: dict  # dataset -> family -> {precision, recall, f1, unknown}
     models: dict = field(default_factory=dict, repr=False)
     features: dict = field(default_factory=dict, repr=False)
-    topic_models: dict = field(default_factory=dict, repr=False)
+    topic_models: dict = field(default_factory=dict, repr=False)  # text side -> TopicModel
     split: tuple = ()
     network_columns: tuple[str, ...] = ()  # accounts learned on the train split
     unknown: dict = field(default_factory=dict, repr=False)  # dataset -> forced-Unknown test users
@@ -273,39 +272,45 @@ def evaluate_sample(
     sample = evaluation.balanced_sample(users, bundle.labels, sample_seed)
     train, test = evaluation.split(sample, bundle.labels, cfg.split_ratio, sample_seed)
 
-    needs = set(cfg.datasets)
+    needs = {d: DATASETS[d] for d in cfg.datasets}
     features: dict[str, tuple[np.ndarray, list[str], np.ndarray, list[str]]] = {}
     unknown: dict[str, list[str]] = {}
     topic_models: dict[str, TopicModel] = {}
 
     net_train = net_test = None
-    if needs & {"net", "pol+net", "non-pol+net"}:
+    if any(blocks.net for blocks in needs.values()):
         net_train, net_test = network_features(
             bundle.friends, train, test, cfg.sparsity_net
         )
 
-    def join(dataset, text_train, text_test, with_net):
-        if dataset in needs:
-            x_train, _ = join_features(train, text_train, net_train if with_net else None)
-            x_test, unknown[dataset] = join_features(test, text_test, net_test if with_net else None)
+    def join(side, text_train=None, text_test=None):
+        """Rows of every requested dataset whose text block is `side`."""
+        for dataset, blocks in DATASETS.items():
+            if dataset not in needs or blocks.text != side:
+                continue
+            x_train, _ = join_features(train, text_train, net_train if blocks.net else None)
+            x_test, unknown[dataset] = join_features(
+                test, text_test, net_test if blocks.net else None
+            )
             features[dataset] = (x_train, list(train), x_test, list(test))
 
-    join("net", None, None, True)
-    for which, sparsity in (("pol", cfg.sparsity_pol), ("nonpol", cfg.sparsity_nonpol)):
-        key = "pol" if which == "pol" else "non-pol"
-        if not {key, f"{key}+net"} & needs:
+    join(None)
+    for side, sparsity in (("pol", cfg.sparsity_pol), ("nonpol", cfg.sparsity_nonpol)):
+        if not any(blocks.text == side for blocks in needs.values()):
             continue
-        train_dfm = build_text_dfm(bundle, train, which, sparsity, cfg.ngram_orders)
+        train_dfm = build_text_dfm(bundle, train, side, sparsity, cfg.ngram_orders)
         model = fit_topic_model(train_dfm, cfg.k_topics)
-        topic_models[key] = model
-        text_train = (fold_in(train_dfm, model), ())
-        text_test = fold_in_users(bundle.documents, test, which, model, cfg.ngram_orders)
-        join(key, text_train, text_test, False)
-        join(f"{key}+net", text_train, text_test, True)
+        topic_models[side] = model
+        join(
+            side,
+            (fold_in(train_dfm, model), ()),
+            fold_in_users(bundle.documents, test, side, model, cfg.ngram_orders),
+        )
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     models: dict[tuple[str, str], classify.ClassifierModel] = {}
     for dataset, (x_tr, users_tr, x_te, users_te) in features.items():
+        blocks = needs[dataset]
         y_tr = classify.encode_labels([bundle.labels[u] for u in users_tr])
         true_te = [bundle.labels[u] for u in users_te]
         metrics[dataset] = {}
@@ -315,8 +320,8 @@ def evaluate_sample(
                 hyper["calibration_folds"] = cfg.calibration_folds
             if family == "NN":
                 hyper["epochs"] = cfg.nn_epochs
-            if family == "NB" and dataset.endswith("net") and dataset != "net":
-                k = topic_models["pol" if dataset.startswith("pol") else "non-pol"].k
+            if family == "NB" and blocks.text and blocks.net:
+                k = topic_models[blocks.text].k
                 mask = np.zeros(x_tr.shape[1], dtype=bool)
                 mask[k:] = True
                 hyper["binary_mask"] = mask

@@ -51,6 +51,34 @@ class SparseDFM:
     def shape(self) -> tuple[int, int]:
         return self.matrix.shape
 
+    @classmethod
+    def from_rows(
+        cls,
+        row_ids: Sequence[str],
+        rows: Iterable[Mapping[str, float]],
+        col_ids: Sequence[str],
+        kind: str = "text",
+    ) -> "SparseDFM":
+        """One row per id from its feature -> value mapping, in order;
+        features outside col_ids are dropped."""
+        col_index = {f: j for j, f in enumerate(col_ids)}
+        data, ii, jj = [], [], []
+        for i, (_, row) in enumerate(zip(row_ids, rows, strict=True)):
+            for feat, value in row.items():
+                j = col_index.get(feat)
+                if j is not None:
+                    ii.append(i)
+                    jj.append(j)
+                    data.append(value)
+        matrix = sp.csr_matrix(
+            (data, (ii, jj)), shape=(len(row_ids), len(col_ids)), dtype=np.float64
+        )
+        return cls(matrix, tuple(row_ids), tuple(col_ids), kind)
+
+    def empty_rows(self) -> list[str]:
+        """Ids of rows with no stored entry: users featureless in this block."""
+        return [u for u, n in zip(self.row_ids, self.matrix.getnnz(axis=1)) if not n]
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercased alphabetic tokens with URLs stripped.
@@ -101,17 +129,7 @@ def build_dfm(docs: Mapping[str, Counter], kind: str = "text") -> SparseDFM:
         raise ValueError("no documents")
     row_ids = tuple(docs)
     vocab = sorted(set().union(*(docs[u].keys() for u in row_ids)))
-    col_index = {f: j for j, f in enumerate(vocab)}
-    data, rows, cols = [], [], []
-    for i, user in enumerate(row_ids):
-        for feat, count in docs[user].items():
-            rows.append(i)
-            cols.append(col_index[feat])
-            data.append(count)
-    matrix = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(row_ids), len(vocab)), dtype=np.float64
-    )
-    return SparseDFM(matrix, row_ids, tuple(vocab), kind)
+    return SparseDFM.from_rows(row_ids, (docs[u] for u in row_ids), vocab, kind)
 
 
 def trim_sparse(dfm: SparseDFM, sparsity: float) -> SparseDFM:
@@ -145,21 +163,8 @@ def build_network_matrix(
     for fr in sets.values():
         followers.update(fr)
     accounts = sorted(a for a, n in followers.items() if n >= 2)
-    col_index = {a: j for j, a in enumerate(accounts)}
-    rows, cols = [], []
-    for i, user in enumerate(sets):
-        for account in sets[user]:
-            j = col_index.get(account)
-            if j is not None:
-                rows.append(i)
-                cols.append(j)
-    matrix = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
-        shape=(len(sets), len(accounts)),
-        dtype=np.float64,
-    )
-    dfm = SparseDFM(matrix, tuple(sets), tuple(accounts), "network")
-    return trim_sparse(dfm, sparsity)
+    rows = (dict.fromkeys(fr, 1.0) for fr in sets.values())
+    return trim_sparse(SparseDFM.from_rows(tuple(sets), rows, accounts, "network"), sparsity)
 
 
 def save_dfm(dfm: SparseDFM, triplet_path, header_path) -> None:

@@ -203,7 +203,7 @@ def infer_theta(counts, beta: np.ndarray, max_iter: int = 200) -> np.ndarray:
     theta = np.full((h.shape[0], beta.shape[0]), 1.0 / beta.shape[0])
     empty = h.sum(axis=1) == 0
     if empty.any():
-        logger.warning("%d documents have no in-vocabulary tokens; uniform theta", int(empty.sum()))
+        logger.debug("%d documents have no in-vocabulary tokens; uniform theta", int(empty.sum()))
     active = ~empty
     if active.any():
         ha = h[active]

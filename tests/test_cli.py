@@ -3,7 +3,9 @@ config validation exit codes and run manifests."""
 
 import csv
 import json
+import logging
 import os
+import shutil
 
 from datetime import datetime, timezone
 
@@ -313,6 +315,28 @@ class TestTrainPredict:
         assert "zz_follow" not in unknown and "u00000" not in unknown
 
 
+    def test_featureless_user_is_warned_about_once(self, work, trained, tmp_path, caplog):
+        tweets = tmp_path / "tweets.jsonl"
+        with open(work["tweets"]) as src, open(tweets, "w") as fh:
+            fh.write(src.read())
+            for d in range(12):
+                fh.write(json.dumps({
+                    "user_id": "zz_stop", "timestamp": f"2016-01-{d + 1:02d}T10:00:00Z",
+                    "text": "the and of it",
+                }) + "\n")
+        out = tmp_path / "preds"
+        with caplog.at_level(logging.WARNING):
+            assert _run(tmp_path, "predict", {
+                "tweets": str(tweets), "friends": work["friends"], "model_dir": trained,
+                "out": str(out), "tau": 0.5, **COMMON,
+            }) == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and "zz_stop" in warnings[0], warnings
+        with open(out / "predictions.csv") as fh:
+            labels = {r["user_id"]: r["label"] for r in csv.DictReader(fh)}
+        assert labels["zz_stop"] == "Unknown"
+
+
 class TestOneFeaturePath:
     """A user's features depend only on that user and the saved bundle,
     and evaluation builds test users' rows exactly as predict does."""
@@ -455,6 +479,25 @@ class TestConfigErrors:
         })
         assert code == 2
         assert "model_dir" in capsys.readouterr().err
+
+    def test_bundle_must_name_its_dataset(self, work, trained, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained, bundle)
+        os.remove(bundle / "train_meta.json")
+        shares = tmp_path / "shares.jsonl"
+        shares.write_text(json.dumps({
+            "user_id": "u00000", "url": "https://www.bbc.co.uk/sport/football/9",
+        }) + "\n")
+        common = {"tweets": work["tweets"], "friends": work["friends"], "model_dir": str(bundle)}
+        assert _run(tmp_path, "predict", {**common, "out": str(tmp_path / "p")}) == 2
+        assert "missing train_meta.json" in capsys.readouterr().err
+        assert _run(tmp_path, "newsstudy", {
+            **common, "shares": str(shares), "out": str(tmp_path / "n"),
+        }) == 2
+        assert "missing train_meta.json" in capsys.readouterr().err
+        (bundle / "train_meta.json").write_text(json.dumps({"dataset": "everything"}))
+        assert _run(tmp_path, "predict", {**common, "out": str(tmp_path / "p")}) == 2
+        assert "unknown dataset 'everything'" in capsys.readouterr().err
 
     def test_newsstudy_requires_model_artifacts(self, tmp_path, capsys):
         shares = tmp_path / "shares.jsonl"

@@ -106,6 +106,28 @@ class TestLoaders:
         assert f"{path} line 3" in caplog.text
         assert f"{path} line 5" in caplog.text
 
+    def test_load_vaa_results_skips_non_finite_matches(self, tmp_path, caplog):
+        # a nan score would clamp to +1.0, and an inf one would make the
+        # platform maximum infinite and normalize everyone else to 0
+        path = tmp_path / "vaa.csv"
+        path.write_text(
+            "user_id,vaa,party,match\n"
+            "u1,P1,Conservative,40\n"
+            "u1,P1,Labour,43\n"
+            "u2,P1,Conservative,45\n"
+            "u2,P1,Labour,40\n"
+            "u3,P1,Conservative,nan\n"
+            "u3,P1,Labour,50\n"
+            "u4,P1,Conservative,inf\n"
+            "u4,P1,Labour,50\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="polilean.corpus"):
+            labels = ground_truth_labels(load_vaa_results(path))
+        assert {u: r.label for u, r in labels.items()} == {"u1": LEFT, "u2": RIGHT}
+        assert math.isclose(labels["u1"].normalized_score, -0.6)
+        assert f"{path} line 6" in caplog.text
+        assert f"{path} line 8" in caplog.text
+
 
 class TestLeaningScores:
     def test_raw_score_direction(self):

@@ -40,11 +40,6 @@ class TestPrf:
         assert (p, r) == (1.0, 0.5)
         assert math.isclose(f1, 2 / 3)
 
-    def test_macro_average(self):
-        pred = ["Right", "Left", "Right", "Left"]
-        true = ["Right", "Right", "Left", "Left"]
-        assert evaluation.prf(pred, true, average="macro") == (0.5, 0.5, 0.5)
-
     def test_all_unknown_reports_zero_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING, logger="polilean.evaluation"):
             out = evaluation.prf(["Unknown", "Unknown"], ["Right", "Left"])
@@ -56,10 +51,6 @@ class TestPrf:
             p, r, f1 = evaluation.prf(["Left", "Left"], ["Right", "Left"])
         assert (p, f1) == (0.0, 0.0)
         assert "no Right predictions" in caplog.text
-
-    def test_unknown_averaging_rejected(self):
-        with pytest.raises(ValueError, match="unknown averaging"):
-            evaluation.prf(["Right"], ["Right"], average="micro")
 
 
 class TestBalancedSample:

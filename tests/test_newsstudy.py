@@ -107,6 +107,7 @@ class TestProjectFeatures:
             dense,
             [[2.0, 0.0, 1.0], [1.0, 4.0, 0.0], [0.0, 0.0, 0.0]],
         )
+        assert dfm.empty_rows() == ["u3"]
         assert "u3" in caplog.text  # flagged as featureless
 
     def test_identity_projection(self):

@@ -1,5 +1,7 @@
 """End-to-end orchestration on a small synthetic corpus."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,18 @@ class TestEvaluateSample:
         np.testing.assert_allclose(x_tr[:, : TINY_CFG.k_topics].sum(axis=1), 1.0,
                                    atol=1e-6)
         assert theta_tr.shape[1] == TINY_CFG.k_topics
+
+    def test_feature_width_follows_the_dataset_table(self, bundle):
+        cfg = dataclasses.replace(TINY_CFG, datasets=tuple(pipeline.DATASETS), families=("NB",))
+        every = pipeline.evaluate_sample(bundle, cfg, sample_seed=0)
+        assert set(every.features) == set(pipeline.DATASETS)
+        assert set(every.topic_models) == {"pol", "nonpol"}
+        for dataset, blocks in pipeline.DATASETS.items():
+            x_tr, _, x_te, _ = every.features[dataset]
+            width = (cfg.k_topics if blocks.text else 0) + (
+                len(every.network_columns) if blocks.net else 0
+            )
+            assert x_tr.shape[1] == x_te.shape[1] == width, dataset
 
     def test_strong_synthetic_signal_learned(self, sample):
         # delta=0.8 and homophily=0.9 make this corpus easy; every

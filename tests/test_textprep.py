@@ -102,13 +102,14 @@ class TestNgrams:
 
 class TestBuildDfm:
     def test_rows_follow_mapping_order_columns_sorted(self):
-        docs = {"u2": Counter({"b": 2, "a": 1}), "u1": Counter({"c": 3})}
+        docs = {"u2": Counter({"b": 2, "a": 1}), "u0": Counter(), "u1": Counter({"c": 3})}
         dfm = build_dfm(docs)
-        assert dfm.row_ids == ("u2", "u1")
+        assert dfm.row_ids == ("u2", "u0", "u1")
         assert dfm.col_ids == ("a", "b", "c")
         assert np.array_equal(
-            np.asarray(dfm.matrix.todense()), [[1, 2, 0], [0, 0, 3]]
+            np.asarray(dfm.matrix.todense()), [[1, 2, 0], [0, 0, 0], [0, 0, 3]]
         )
+        assert dfm.empty_rows() == ["u0"]
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
@@ -117,10 +118,14 @@ class TestBuildDfm:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SparseDFM(sp.csr_matrix((2, 2)), ("a",), ("x", "y"))
+        with pytest.raises(ValueError):  # one feature mapping per row id
+            SparseDFM.from_rows(("a", "b"), [{"x": 1}], ("x", "y"))
 
     def test_duplicate_rows_rejected(self):
         with pytest.raises(ValueError):
             SparseDFM(sp.csr_matrix((2, 1)), ("a", "a"), ("x",))
+        with pytest.raises(ValueError, match="duplicate row ids"):
+            SparseDFM.from_rows(("a", "a"), [{"x": 1}, {"x": 2}], ("x",))
 
 
 class TestTrimSparse:
@@ -169,13 +174,15 @@ class TestNetworkMatrix:
             "u1": ["a", "b", "b"],  # duplicate follow collapses
             "u2": ["a"],
             "u3": ["a", "b", "c"],
+            "u4": ["d"],
         }
         net = build_network_matrix(friends, sparsity=1.0)
-        assert net.col_ids == ("a", "b")  # c followed once -> dropped
+        assert net.col_ids == ("a", "b")  # c and d followed once -> dropped
         assert net.kind == "network"
         dense = np.asarray(net.matrix.todense())
         assert set(np.unique(dense)) <= {0.0, 1.0}
-        assert dense.tolist() == [[1, 1], [1, 0], [1, 1]]
+        assert dense.tolist() == [[1, 1], [1, 0], [1, 1], [0, 0]]
+        assert net.empty_rows() == ["u4"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

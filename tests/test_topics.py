@@ -194,10 +194,13 @@ class TestInferTheta:
         np.testing.assert_allclose(theta, [0.0, 1.0], atol=1e-6)
 
     def test_empty_document_gets_uniform_with_warning(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="polilean.topics"):
+        # project_features gives the one warning per fold-in; here it is
+        # a debug line
+        with caplog.at_level(logging.DEBUG, logger="polilean.topics"):
             theta = infer_theta(np.zeros((2, 4)), self.BETA)
         np.testing.assert_allclose(theta, 0.5)
-        assert "no in-vocabulary tokens" in caplog.text
+        [record] = [r for r in caplog.records if "no in-vocabulary tokens" in r.message]
+        assert record.levelno == logging.DEBUG
 
     def test_sparse_input_accepted(self):
         h = sp.csr_matrix(np.array([[1.0, 2.0, 0.0, 1.0]]))
