@@ -253,6 +253,7 @@ def save_model(model: ClassifierModel, path) -> None:
             "support_vectors": _arr(m.support_vectors),
             "support_alpha_y": _arr(m.support_alpha_y),
             "bias": m.bias,
+            "converged": m.converged,
         }
     elif model.family == "NN":
         m = model.inner
@@ -301,7 +302,7 @@ def load_model(path) -> ClassifierModel:
             support_vectors=sv,
             support_alpha_y=np.array(p["support_alpha_y"], dtype=np.float64),
             bias=p["bias"],
-            converged=True,
+            converged=p["converged"],
         )
     elif family == "NN":
         inner = nn_mod.NnModel(

@@ -416,31 +416,52 @@ def cmd_predict(args) -> int:
     )
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    meta = _bundle_meta(config)
+    meta, bundle_files = _bundle_meta(config)
     users = group_tweets(load_tweets(config["tweets"]))
     preds = _predict_users(config, cfg, meta, users, config.get("tau", meta.get("tau", 0.5)))
     pred_path = os.path.join(out, "predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
-    inputs = [config["tweets"], os.path.join(config["model_dir"], "classifier.json")]
+    inputs = _prediction_inputs(config, ["tweets"], bundle_files)
     _write_manifest(out, "predict", _public(config), inputs, [pred_path])
     print(f"wrote {len(preds)} predictions to {pred_path}")
     return EXIT_OK
 
 
-def _bundle_meta(config) -> dict:
-    """Check the bundle that `train` saved under model_dir and return its
-    train_meta.json, whose dataset decides the features."""
+def _bundle_meta(config) -> tuple[dict, list[str]]:
+    """Check the bundle that `train` saved under model_dir. Return its
+    train_meta.json, whose dataset decides the features, and the paths of
+    every bundle file that dataset reads."""
     model_dir = config["model_dir"]
-    for name in ("classifier.json", "lexicon.json", "train_meta.json"):
-        if not os.path.exists(os.path.join(model_dir, name)):
-            raise ConfigError(f"field 'model_dir': missing {name}")
-    with open(os.path.join(model_dir, "train_meta.json")) as fh:
+
+    def required(*names):
+        paths = [os.path.join(model_dir, name) for name in names]
+        for name, path in zip(names, paths):
+            if not os.path.exists(path):
+                raise ConfigError(f"field 'model_dir': missing {name}")
+        return paths
+
+    files = required("classifier.json", "lexicon.json", "train_meta.json")
+    with open(files[-1]) as fh:
         meta = json.load(fh)
     if meta.get("dataset") not in pipeline.DATASETS:
         raise ConfigError(
             f"field 'model_dir': unknown dataset {meta.get('dataset')!r} in train_meta.json"
         )
-    return meta
+    blocks = pipeline.DATASETS[meta["dataset"]]
+    if blocks.text:
+        files += required("topic_model.json", "topic_beta.csv")
+    if blocks.net:
+        files += required("network_columns.json")
+    return meta, files
+
+
+def _prediction_inputs(config, keys, bundle_files) -> list[str]:
+    """Manifest inputs of predict/newsstudy: the named input files, the
+    friends file when given, and the bundle files."""
+    inputs = [config[key] for key in keys]
+    if config.get("friends"):
+        inputs.append(config["friends"])
+    return inputs + bundle_files
 
 
 def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
@@ -464,16 +485,12 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
     blocks = pipeline.DATASETS[dataset]
     text = net = None
     if blocks.text:
-        tm_header = os.path.join(model_dir, "topic_model.json")
-        if not os.path.exists(tm_header):
-            raise ConfigError("field 'model_dir': missing topic_model.json")
-        tmodel = load_topic_model(tm_header, os.path.join(model_dir, "topic_beta.csv"))
+        tmodel = load_topic_model(
+            os.path.join(model_dir, "topic_model.json"), os.path.join(model_dir, "topic_beta.csv")
+        )
         text = pipeline.fold_in_users(docs, user_ids, blocks.text, tmodel, cfg.ngram_orders)
     if blocks.net:
-        net_path = os.path.join(model_dir, "network_columns.json")
-        if not os.path.exists(net_path):
-            raise ConfigError("field 'model_dir': missing network_columns.json")
-        with open(net_path) as fh:
+        with open(os.path.join(model_dir, "network_columns.json")) as fh:
             columns = json.load(fh)["columns"]
         friends = load_friends(config["friends"]) if config.get("friends") else {}
         net = pipeline.align_network(friends, user_ids, columns)
@@ -488,7 +505,7 @@ def cmd_newsstudy(args) -> int:
     )
     out = _ensure_out(config)
     cfg = _pipeline_config(config)
-    meta = _bundle_meta(config)
+    meta, bundle_files = _bundle_meta(config)
     patterns = newsstudy.load_patterns(resources.url_patterns())
     events = newsstudy.load_share_events(config["shares"], patterns)
     sharers = sorted({e.user_id for e in events if e.matched is not None})
@@ -510,7 +527,7 @@ def cmd_newsstudy(args) -> int:
     pred_path = os.path.join(out, "sharer_predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
     print(newsstudy.format_counts(table))
-    inputs = [config["shares"], config["tweets"], os.path.join(config["model_dir"], "classifier.json")]
+    inputs = _prediction_inputs(config, ["shares", "tweets"], bundle_files)
     _write_manifest(out, "newsstudy", _public(config), inputs, [table_path, pred_path])
     return EXIT_OK
 

@@ -7,6 +7,8 @@ longest matching suffix is considered (a failed condition does not
 fall through to shorter suffixes).
 """
 
+import functools
+
 
 def _is_consonant(word: str, i: int) -> bool:
     ch = word[i]
@@ -77,8 +79,10 @@ _STEP4 = [
 ]
 
 
+@functools.cache
 def stem(word: str) -> str:
-    """Return the Porter stem of a lowercase alphabetic word."""
+    """Return the Porter stem of a lowercase alphabetic word. Memoized:
+    a corpus repeats a small vocabulary many times."""
     if len(word) <= 2:
         return word
     w = word

@@ -1,10 +1,11 @@
 """Anchor-word topic model over a sparse DFM.
 
 Pipeline: word co-occurrence matrix -> greedy anchor selection on the
-row-normalized matrix -> per-word simplex-constrained least squares to
-recover the topic-word matrix beta -> per-document topic proportions by
-EM folding-in. Word rankings (FREX / LIFT / Score) and a per-topic
-prevalence regression against the Left/Right label round things out.
+row-normalized matrix -> simplex-constrained least squares for every
+word, solved as one batch, to recover the topic-word matrix beta ->
+per-document topic proportions by EM folding-in. Word rankings (FREX /
+LIFT / Score) and a per-topic prevalence regression against the
+Left/Right label round things out.
 """
 
 import csv
@@ -122,30 +123,56 @@ def find_anchors(
     return anchors
 
 
-def _simplex_lsq(x: np.ndarray, a: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-    """Minimize ||x - c @ a||^2 over the probability simplex by
-    exponentiated gradient with backtracking on the step size."""
-    k = a.shape[0]
-    c = np.full(k, 1.0 / k)
+def _simplex_lsq(
+    x: np.ndarray, a: np.ndarray, tol: float, max_iter: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize ||x_i - c_i @ a||^2 over the probability simplex for every
+    row x_i of x, by exponentiated gradient with backtracking on the step
+    size.
+
+    Rows are independent: each keeps its own step size, backtracks on its
+    own and stops once its coefficients move by less than tol. Returns the
+    coefficients (one row per row of x) and a mask of the rows that were
+    still moving after max_iter steps.
+    """
+    n, k = x.shape[0], a.shape[0]
+    c = np.full((n, k), 1.0 / k)
     ata = a @ a.T
-    atx = a @ x
-    eta = 50.0
-    loss = c @ ata @ c - 2.0 * (c @ atx)
+    atx = x @ a.T
+    eta = np.full(n, 50.0)
+
+    def loss(rows, coef):
+        return np.einsum("nk,nk->n", coef @ ata, coef) - 2.0 * np.einsum(
+            "nk,nk->n", coef, atx[rows]
+        )
+
+    cur = loss(np.arange(n), c)
+    active = np.ones(n, dtype=bool)
     for _ in range(max_iter):
-        grad = 2.0 * (ata @ c - atx)
-        grad -= grad.max()  # stabilize the exponent
-        while True:
-            trial = c * np.exp(-eta * grad)
-            trial /= trial.sum()
-            trial_loss = trial @ ata @ trial - 2.0 * (trial @ atx)
-            if trial_loss <= loss + 1e-15 or eta < 1e-6:
-                break
-            eta *= 0.5
-        delta = np.abs(trial - c).max()
-        c, loss = trial, trial_loss
-        if delta < tol:
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
-    return c
+        c_a = c[rows]
+        grad = 2.0 * (c_a @ ata - atx[rows])
+        grad -= grad.max(axis=1, keepdims=True)  # a per-row shift; normalization cancels it
+        trial = np.empty_like(c_a)
+        trial_loss = np.empty(rows.size)
+        search = np.arange(rows.size)  # positions in rows still backtracking
+        while search.size:
+            r = rows[search]
+            t = c_a[search] * np.exp(-eta[r, None] * grad[search])
+            t /= t.sum(axis=1, keepdims=True)
+            t_loss = loss(r, t)
+            done = (t_loss <= cur[r] + 1e-15) | (eta[r] < 1e-6)
+            trial[search[done]] = t[done]
+            trial_loss[search[done]] = t_loss[done]
+            eta[r[~done]] *= 0.5
+            search = search[~done]
+        delta = np.abs(trial - c_a).max(axis=1)
+        c[rows] = trial
+        cur[rows] = trial_loss
+        active[rows[delta < tol]] = False
+    return c, active
 
 
 def recover_beta(
@@ -160,22 +187,19 @@ def recover_beta(
     Each word's normalized co-occurrence row is expressed as a convex
     combination c_v of the anchor rows (c_{v,k} = p(topic k | word v));
     the Bayes flip beta_{k,v} proportional to c_{v,k} * p(word v) then
-    yields row-stochastic beta. Returns (beta, per-word residual norms).
+    yields row-stochastic beta. All non-anchor words are solved in one
+    batch. Returns (beta, per-word residual norms).
     """
     anchors = list(anchors)
     a = q_row[anchors]
     v = q_row.shape[0]
     k = len(anchors)
     coef = np.zeros((v, k))
-    residuals = np.zeros(v)
-    for word in range(v):
-        if word in anchors:
-            c = np.zeros(k)
-            c[anchors.index(word)] = 1.0
-        else:
-            c = _simplex_lsq(q_row[word], a, tol, max_iter)
-        coef[word] = c
-        residuals[word] = np.linalg.norm(q_row[word] - c @ a)
+    coef[anchors, np.arange(k)] = 1.0
+    words = np.setdiff1d(np.arange(v), anchors)
+    coef[words], capped = _simplex_lsq(q_row[words], a, tol, max_iter)
+    logger.info("%d of %d words stopped at max_iter=%d", int(capped.sum()), v, max_iter)
+    residuals = np.linalg.norm(q_row - coef @ a, axis=1)
     worst = residuals.max(initial=0.0)
     if worst > 0.5:
         logger.warning("beta recovery residual norm up to %.4f", worst)

@@ -355,6 +355,14 @@ class TestSerialization:
         classify.save_model(model, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_unconverged_flag_survives_save_and_load(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(svm, "MAX_PAIR_UPDATES", 1)
+        x, y = _blobs(15, seed=16)
+        model = classify.train_svm(x, y, kernel="linear", seed=1)
+        assert not model.inner.converged
+        classify.save_model(model, tmp_path / "capped.json")
+        assert not classify.load_model(tmp_path / "capped.json").inner.converged
+
     def test_model_with_no_support_vectors_loads(self, tmp_path):
         inner = svm.SvmModel(
             kernel=svm.Kernel("linear"),

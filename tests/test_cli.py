@@ -206,6 +206,28 @@ class TestTrainPredict:
         for r in rows:
             assert 0.0 <= float(r["p_right"]) <= 1.0
 
+    def test_manifest_hashes_friends_and_every_bundle_file(self, work, trained, tmp_path):
+        other_friends = tmp_path / "friends.jsonl"
+        with open(work["friends"]) as src:
+            lines = src.readlines()
+        other_friends.write_text("".join(lines[1:]))
+        inputs = []
+        for name, friends in (("a", work["friends"]), ("b", str(other_friends))):
+            out = tmp_path / name
+            assert _run(tmp_path, "predict", {
+                "tweets": work["tweets"], "friends": friends,
+                "model_dir": trained, "out": str(out), **COMMON,
+            }) == 0
+            inputs.append(_manifest(out)["inputs"])
+        assert set(inputs[0]) == {
+            "tweets.jsonl", "friends.jsonl", "classifier.json", "lexicon.json",
+            "train_meta.json", "topic_model.json", "topic_beta.csv", "network_columns.json",
+        }
+        assert inputs[0]["friends.jsonl"] != inputs[1]["friends.jsonl"]
+        assert {k: v for k, v in inputs[0].items() if k != "friends.jsonl"} == {
+            k: v for k, v in inputs[1].items() if k != "friends.jsonl"
+        }
+
     def test_newsstudy_counts(self, work, trained):
         tmp = work["tmp"]
         shares = tmp / "shares.jsonl"
@@ -498,6 +520,16 @@ class TestConfigErrors:
         (bundle / "train_meta.json").write_text(json.dumps({"dataset": "everything"}))
         assert _run(tmp_path, "predict", {**common, "out": str(tmp_path / "p")}) == 2
         assert "unknown dataset 'everything'" in capsys.readouterr().err
+
+    def test_missing_topic_beta_exits_2(self, work, trained, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained, bundle)
+        os.remove(bundle / "topic_beta.csv")
+        assert _run(tmp_path, "predict", {
+            "tweets": work["tweets"], "friends": work["friends"],
+            "model_dir": str(bundle), "out": str(tmp_path / "p"),
+        }) == 2
+        assert "missing topic_beta.csv" in capsys.readouterr().err
 
     def test_newsstudy_requires_model_artifacts(self, tmp_path, capsys):
         shares = tmp_path / "shares.jsonl"

@@ -271,3 +271,12 @@ class TestEdges:
         assert stem("controlling") == "control"
         assert stem("classes") == "class"
         assert stem("fuzz") == "fuzz"
+
+
+class TestMemo:
+    def test_repeated_word_is_a_cache_hit(self):
+        word = "memoizations"
+        first = stem(word)
+        hits = stem.cache_info().hits
+        assert stem(word) == first
+        assert stem.cache_info().hits == hits + 1

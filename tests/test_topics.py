@@ -15,6 +15,7 @@ from polilean.textprep import SparseDFM
 from polilean.topics import (
     TopicModel,
     WordScores,
+    _simplex_lsq,
     cooccurrence,
     find_anchors,
     fit_topic_model,
@@ -156,6 +157,92 @@ class TestRecoverBeta:
         beta, _ = recover_beta(a, [0, 1, 2], np.array([0.2, 0.3, 0.5]))
         # each anchor word belongs wholly to its own topic
         np.testing.assert_allclose(np.diag(beta), [1.0, 1.0, 1.0], atol=1e-12)
+
+
+def _per_word_simplex_lsq(x, a, tol=1e-7, max_iter=500):
+    """The per-word solver the batched one replaced, kept as the oracle.
+    Returns the coefficients and the final step size."""
+    k = a.shape[0]
+    c = np.full(k, 1.0 / k)
+    ata = a @ a.T
+    atx = a @ x
+    eta = 50.0
+    loss = c @ ata @ c - 2.0 * (c @ atx)
+    for _ in range(max_iter):
+        grad = 2.0 * (ata @ c - atx)
+        grad -= grad.max()
+        while True:
+            trial = c * np.exp(-eta * grad)
+            trial /= trial.sum()
+            trial_loss = trial @ ata @ trial - 2.0 * (trial @ atx)
+            if trial_loss <= loss + 1e-15 or eta < 1e-6:
+                break
+            eta *= 0.5
+        delta = np.abs(trial - c).max()
+        c, loss = trial, trial_loss
+        if delta < tol:
+            break
+    return c, eta
+
+
+def _simplex_instance(seed):
+    """Anchor rows and word rows like row-normalized co-occurrences, plus
+    an all-zero row, an exact mixture of the anchors and a row so large
+    that backtracking drives the step size below 1e-6."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 11))
+    d = int(rng.integers(k + 1, 201))
+    a = rng.random((k, d)) ** 3
+    a /= a.sum(axis=1, keepdims=True)
+    words = rng.random((int(rng.integers(5, 40)), d)) ** 3
+    words /= words.sum(axis=1, keepdims=True)
+    large = rng.random(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for scale in np.geomspace(1e8, 1e10, 21):
+            c, eta = _per_word_simplex_lsq(scale * large, a)
+            if eta < 1e-6 and np.isfinite(c).all():
+                break
+        else:
+            raise AssertionError("no scale drives the step size below 1e-6")
+    special = [np.zeros(d), rng.dirichlet(np.ones(k)) @ a, scale * large]
+    return np.vstack([words, *special]), a
+
+
+class TestBatchedSimplexSolver:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_agrees_with_the_per_word_solver(self, seed):
+        x, a = _simplex_instance(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            coef, _ = _simplex_lsq(x, a, 1e-7, 500)
+            reference = [_per_word_simplex_lsq(row, a) for row in x]
+        np.testing.assert_allclose(coef, [c for c, _ in reference], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(coef.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_one_word_alone_equals_it_in_the_batch(self):
+        x, a = _simplex_instance(11)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch, _ = _simplex_lsq(x, a, 1e-7, 500)
+            for i in (0, len(x) - 3, len(x) - 2, len(x) - 1):
+                alone, _ = _simplex_lsq(x[i : i + 1], a, 1e-7, 500)
+                np.testing.assert_allclose(alone[0], batch[i], rtol=0, atol=1e-13)
+
+    def test_rows_that_stop_are_not_capped(self):
+        x, a = _simplex_instance(3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, capped = _simplex_lsq(x, a, 1e-7, 500)
+            _, capped_at_one = _simplex_lsq(x, a, 1e-7, 1)
+        assert capped_at_one.all()
+        assert not capped[len(x) - 3]  # the zero row converges
+
+    def test_capped_words_are_logged(self, caplog):
+        x, _ = _simplex_instance(5)
+        q_row = np.vstack([x[:-3], np.eye(x.shape[1])[:3]])  # last three rows: anchors
+        anchors = [len(q_row) - 3, len(q_row) - 2, len(q_row) - 1]
+        word_prob = np.full(len(q_row), 1.0 / len(q_row))
+        with caplog.at_level(logging.INFO, logger="polilean.topics"):
+            recover_beta(q_row, anchors, word_prob, max_iter=1)
+        [message] = [r.message for r in caplog.records if "max_iter" in r.message]
+        assert message == f"{len(q_row) - 3} of {len(q_row)} words stopped at max_iter=1"
 
 
 class TestInferTheta:
