@@ -5,7 +5,7 @@ import csv
 import json
 import logging
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -64,9 +64,40 @@ def _parse_timestamp(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def skip_reason(exc: Exception) -> str:
+    """Why a loader skipped a record, from the exception that parsing it
+    raised."""
+    if isinstance(exc, json.JSONDecodeError):
+        return "invalid JSON"
+    if isinstance(exc, KeyError):
+        return "missing field"
+    return "invalid value"
+
+
+@dataclass
+class SkipLog:
+    """One input file's skipped records: each is logged with its line
+    number, and summary() logs the file's totals as one INFO line."""
+
+    log: logging.Logger
+    path: object
+    skipped: Counter = field(default_factory=Counter)
+
+    def skip(self, lineno: int, reason: str, detail) -> None:
+        self.log.warning("%s line %d: skipped (%s)", self.path, lineno, detail)
+        self.skipped[reason] += 1
+
+    def summary(self, kept: int) -> None:
+        n_skipped = sum(self.skipped.values())
+        reasons = "".join(f", {n} {why}" for why, n in sorted(self.skipped.items()))
+        self.log.info("%s: %d records read, %d kept, %d skipped%s",
+                      self.path, kept + n_skipped, kept, n_skipped, reasons)
+
+
 def load_tweets(path) -> list[Tweet]:
     """Read tweets from JSONL; malformed lines are logged and skipped."""
     tweets: list[Tweet] = []
+    skips = SkipLog(logger, path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -80,18 +111,24 @@ def load_tweets(path) -> list[Tweet]:
                     text=obj["text"],
                     lang=obj.get("lang"),
                 )
+                if not isinstance(tweet.text, str):
+                    raise TypeError(f"text is {type(tweet.text).__name__}, not a string")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                logger.warning("%s line %d: skipped (%s)", path, lineno, exc)
+                skips.skip(lineno, skip_reason(exc), exc)
                 continue
             if not tweet.text.strip():
-                logger.warning("%s line %d: skipped (empty text)", path, lineno)
+                skips.skip(lineno, "empty text", "empty text")
                 continue
             tweets.append(tweet)
+    skips.summary(len(tweets))
     return tweets
 
 
 def load_friends(path) -> dict[str, list[str]]:
+    """Read follow lists from JSONL; malformed lines are logged and skipped."""
     friends: dict[str, list[str]] = {}
+    skips = SkipLog(logger, path)
+    kept = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -99,9 +136,14 @@ def load_friends(path) -> dict[str, list[str]]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj["friends"], list):
+                    raise TypeError(f"friends is {type(obj['friends']).__name__}, not a list")
                 friends[str(obj["user_id"])] = [str(f) for f in obj["friends"]]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                logger.warning("%s line %d: skipped (%s)", path, lineno, exc)
+                skips.skip(lineno, skip_reason(exc), exc)
+                continue
+            kept += 1
+    skips.summary(kept)
     return friends
 
 
@@ -109,16 +151,25 @@ def load_vaa_results(path) -> list[VaaResult]:
     """Read long-format CSV (user_id, vaa, party, match) into VaaResults;
     malformed rows, non-finite matches included, are logged and skipped."""
     grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
+    skips = SkipLog(logger, path)
+    kept = 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
             try:
                 match = float(rec["match"])
-                if not math.isfinite(match):
-                    raise ValueError(f"non-finite match {rec['match']!r}")
-                grouped[(str(rec["user_id"]), rec["vaa"])][rec["party"]] = match
+                key = (str(rec["user_id"]), rec["vaa"])
+                party = rec["party"]
             except (KeyError, TypeError, ValueError) as exc:
-                logger.warning("%s line %d: skipped (%s)", path, reader.line_num, exc)
+                skips.skip(reader.line_num, skip_reason(exc), exc)
+                continue
+            if not math.isfinite(match):
+                skips.skip(reader.line_num, "non-finite match",
+                           f"non-finite match {rec['match']!r}")
+                continue
+            grouped[key][party] = match
+            kept += 1
+    skips.summary(kept)
     return [
         VaaResult(user_id=u, vaa_source=v, party_matches=parties)
         for (u, v), parties in grouped.items()

@@ -14,6 +14,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .classify import UNKNOWN, Prediction, apply_threshold, predict
+from .corpus import SkipLog, skip_reason
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
@@ -50,7 +51,9 @@ def match_url(url: str, patterns: Sequence[UrlPattern]) -> tuple[str, str] | Non
 
 
 def load_share_events(path, patterns: Sequence[UrlPattern]) -> list[ShareEvent]:
+    """Read share events from JSONL; malformed lines are logged and skipped."""
     events: list[ShareEvent] = []
+    skips = SkipLog(logger, path)
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -58,15 +61,13 @@ def load_share_events(path, patterns: Sequence[UrlPattern]) -> list[ShareEvent]:
                 continue
             try:
                 obj = json.loads(line)
-                events.append(
-                    ShareEvent(
-                        str(obj["user_id"]),
-                        obj["url"],
-                        match_url(obj["url"], patterns),
-                    )
-                )
+                user_id, url = str(obj["user_id"]), obj["url"]
+                if not isinstance(url, str):
+                    raise TypeError(f"url is {type(url).__name__}, not a string")
+                events.append(ShareEvent(user_id, url, match_url(url, patterns)))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                logger.warning("%s line %d: skipped (%s)", path, lineno, exc)
+                skips.skip(lineno, skip_reason(exc), exc)
+    skips.summary(len(events))
     return events
 
 

@@ -1,7 +1,10 @@
 """Skip-gram word embedding trained with negative sampling.
 
 Single-threaded SGD, deterministic for a fixed seed. Negative samples
-are drawn from the unigram distribution raised to the 3/4 power.
+are drawn from the unigram distribution raised to the 3/4 power: one
+search of its CDF per sentence, which gives the draws and the generator
+state that one Generator.choice(p=...) call per (centre, context) pair
+would. Pairs are then updated one at a time, in order.
 """
 
 import logging
@@ -65,6 +68,10 @@ def train_skipgram(
     counts = np.array([freq[w] for w in vocab], dtype=np.float64)
     noise = counts**0.75
     noise /= noise.sum()
+    # Generator.choice(p=noise) searches this CDF with one uniform draw
+    # per sample, so one search per sentence gives the same negatives.
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
     rng = np.random.default_rng(seed)
     w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
@@ -75,26 +82,35 @@ def train_skipgram(
         for sent in corpus
     ]
     sentences = [s for s in sentences if len(s) >= 2]
+    offsets = np.array([d for d in range(-window, window + 1) if d != 0], dtype=np.intp)
 
     for epoch in range(epochs):
         total_loss = 0.0
         for sent in sentences:
-            for pos, center_id in enumerate(sent):
-                lo = max(0, pos - window)
-                hi = min(len(sent), pos + window + 1)
-                for ctx_pos in range(lo, hi):
-                    if ctx_pos == pos:
-                        continue
-                    ctx_id = sent[ctx_pos]
-                    neg_ids = rng.choice(len(vocab), size=negatives, p=noise)
-                    loss, g_c, g_o, g_n = pair_loss_and_grads(
-                        w_in[center_id], w_out[ctx_id], w_out[neg_ids]
-                    )
-                    total_loss += loss
-                    w_in[center_id] -= lr * g_c
-                    w_out[ctx_id] -= lr * g_o
-                    # duplicate negative ids accumulate via index reduction
-                    np.subtract.at(w_out, neg_ids, lr * g_n)
+            # (centre, context) pairs by centre, then by context position
+            ctx_pos = np.arange(len(sent))[:, None] + offsets
+            valid = (ctx_pos >= 0) & (ctx_pos < len(sent))
+            centers = np.repeat(sent, valid.sum(axis=1))
+            contexts = sent[ctx_pos[valid]]
+            neg_ids = cdf.searchsorted(
+                rng.random(len(centers) * negatives), side="right"
+            ).reshape(len(centers), negatives)
+            ordered = np.sort(neg_ids, axis=1)
+            repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+            for center_id, ctx_id, negs, dup in zip(
+                centers.tolist(), contexts.tolist(), neg_ids, repeated.tolist()
+            ):
+                loss, g_c, g_o, g_n = pair_loss_and_grads(
+                    w_in[center_id], w_out[ctx_id], w_out[negs]
+                )
+                total_loss += loss
+                w_in[center_id] -= lr * g_c
+                w_out[ctx_id] -= lr * g_o
+                if dup:
+                    # a repeated negative id must accumulate both updates
+                    np.subtract.at(w_out, negs, lr * g_n)
+                else:
+                    w_out[negs] -= lr * g_n
         logger.debug("epoch %d loss %.4f", epoch, total_loss)
 
     return Embedding(vocab, w_in)

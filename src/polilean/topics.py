@@ -154,7 +154,9 @@ def _simplex_lsq(
             break
         c_a = c[rows]
         grad = 2.0 * (c_a @ ata - atx[rows])
-        grad -= grad.max(axis=1, keepdims=True)  # a per-row shift; normalization cancels it
+        # a per-row shift, which normalization cancels; shifting by the
+        # minimum keeps every exponent <= 0, so exp cannot overflow
+        grad -= grad.min(axis=1, keepdims=True)
         trial = np.empty_like(c_a)
         trial_loss = np.empty(rows.size)
         search = np.arange(rows.size)  # positions in rows still backtracking

@@ -129,6 +129,77 @@ class TestLoaders:
         assert f"{path} line 8" in caplog.text
 
 
+class TestLoaderSummaries:
+    """Each loader ends with one INFO line: records read, kept, and
+    skipped per reason."""
+
+    @staticmethod
+    def _summary(caplog):
+        (record,) = [r for r in caplog.records if r.levelno == logging.INFO]
+        return record.getMessage()
+
+    def test_load_tweets(self, tmp_path, caplog):
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(
+            '{"user_id": "u1", "timestamp": "2015-05-01T10:00:00Z", "text": "hello"}\n'
+            "not json at all\n"
+            '{"user_id": "u2", "timestamp": "2015-05-01T10:00:00Z"}\n'
+            '{"user_id": "u3", "timestamp": "yesterday", "text": "hi"}\n'
+            '{"user_id": "u4", "timestamp": "2015-05-01T10:00:00Z", "text": 7}\n'
+            '{"user_id": "u5", "timestamp": "2015-05-01T10:00:00Z", "text": " "}\n'
+            "\n"
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            tweets = load_tweets(path)
+        assert [t.user_id for t in tweets] == ["u1"]
+        assert self._summary(caplog) == (
+            f"{path}: 6 records read, 1 kept, 5 skipped, 1 empty text, "
+            "1 invalid JSON, 2 invalid value, 1 missing field"
+        )
+
+    def test_load_friends(self, tmp_path, caplog):
+        path = tmp_path / "friends.jsonl"
+        path.write_text(
+            '{"user_id": "u1", "friends": ["a", "b"]}\n'
+            "garbage\n"
+            '{"user_id": "u2"}\n'
+            '{"user_id": "u3", "friends": "abc"}\n'
+            '{"user_id": "u4", "friends": []}\n'
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            friends = load_friends(path)
+        assert friends == {"u1": ["a", "b"], "u4": []}
+        assert self._summary(caplog) == (
+            f"{path}: 5 records read, 2 kept, 3 skipped, "
+            "1 invalid JSON, 1 invalid value, 1 missing field"
+        )
+
+    def test_load_vaa_results(self, tmp_path, caplog):
+        path = tmp_path / "vaa.csv"
+        path.write_text(
+            "user_id,vaa,party,match\n"
+            "u1,P1,Conservative,62\n"
+            "u1,P1,Labour,38\n"
+            "u2,P1,Conservative,n/a\n"
+            "u3,P1\n"
+            "u4,P1,Conservative,nan\n"
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            results = load_vaa_results(path)
+        assert [r.user_id for r in results] == ["u1"]
+        assert self._summary(caplog) == (
+            f"{path}: 5 records read, 2 kept, 3 skipped, 2 invalid value, 1 non-finite match"
+        )
+
+    def test_clean_file(self, tmp_path, caplog):
+        path = tmp_path / "friends.jsonl"
+        path.write_text('{"user_id": "u1", "friends": ["a"]}\n')
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            load_friends(path)
+        assert self._summary(caplog) == f"{path}: 1 records read, 1 kept, 0 skipped"
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
 class TestLeaningScores:
     def test_raw_score_direction(self):
         assert raw_score(_vaa("u", "P", 62, 38)) == 24

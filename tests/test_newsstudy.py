@@ -79,6 +79,24 @@ class TestShareEvents:
         assert events[1].matched is None
         assert "line 3" in caplog.text and "line 4" in caplog.text
 
+    def test_loading_ends_with_one_summary_line(self, tmp_path, caplog):
+        path = tmp_path / "shares.jsonl"
+        path.write_text(
+            '{"user_id": "u1", "url": "https://www.bbc.co.uk/sport/1"}\n'
+            "not json at all\n"
+            '{"user_id": "u2"}\n'
+            '{"user_id": "u3", "url": 5}\n'
+            "\n"
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.newsstudy"):
+            events = newsstudy.load_share_events(path, _default_patterns())
+        assert [e.user_id for e in events] == ["u1"]
+        (summary,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert summary == (
+            f"{path}: 4 records read, 1 kept, 3 skipped, "
+            "1 invalid JSON, 1 invalid value, 1 missing field"
+        )
+
     def test_non_string_user_ids_coerced(self, tmp_path):
         path = tmp_path / "shares.jsonl"
         path.write_text('{"user_id": 42, "url": "https://www.bbc.co.uk/sport/1"}\n')

@@ -1,5 +1,7 @@
 """Skip-gram embedding: gradient correctness and training behavior."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -94,3 +96,83 @@ class TestTraining:
     def test_vector_lookup(self):
         emb = Embedding(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(emb["b"], [3.0, 4.0])
+
+
+def _per_pair_train_skipgram(corpus, window, min_freq, dim, negatives, epochs, lr, seed):
+    """The per-pair trainer the per-sentence one replaced, kept as the
+    oracle: one Generator.choice(p=noise) and one np.subtract.at per
+    pair. Returns the vectors and the number of pairs that drew a
+    repeated negative id."""
+    freq = Counter(t for sent in corpus for t in sent)
+    vocab = tuple(sorted(w for w, n in freq.items() if n >= min_freq))
+    index = {w: i for i, w in enumerate(vocab)}
+    counts = np.array([freq[w] for w in vocab], dtype=np.float64)
+    noise = counts**0.75
+    noise /= noise.sum()
+    rng = np.random.default_rng(seed)
+    w_in = (rng.random((len(vocab), dim)) - 0.5) / dim
+    w_out = np.zeros((len(vocab), dim))
+    sentences = [
+        np.array([index[t] for t in sent if t in index], dtype=np.intp) for sent in corpus
+    ]
+    sentences = [s for s in sentences if len(s) >= 2]
+    repeated = 0
+    for _ in range(epochs):
+        for sent in sentences:
+            for pos, center_id in enumerate(sent):
+                lo = max(0, pos - window)
+                hi = min(len(sent), pos + window + 1)
+                for ctx_pos in range(lo, hi):
+                    if ctx_pos == pos:
+                        continue
+                    ctx_id = sent[ctx_pos]
+                    neg_ids = rng.choice(len(vocab), size=negatives, p=noise)
+                    repeated += len(set(neg_ids.tolist())) < negatives
+                    _, g_c, g_o, g_n = pair_loss_and_grads(
+                        w_in[center_id], w_out[ctx_id], w_out[neg_ids]
+                    )
+                    w_in[center_id] -= lr * g_c
+                    w_out[ctx_id] -= lr * g_o
+                    np.subtract.at(w_out, neg_ids, lr * g_n)
+    return w_in, repeated
+
+
+def _random_corpus(seed, vocab_size, n_sentences=60, max_len=6):
+    """Random sentences over a few frequent words plus rare ones below
+    the frequency floor, so some sentences keep fewer than two tokens."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(vocab_size)]
+    rare = [f"rare{i}" for i in range(40)]
+    corpus = []
+    for _ in range(n_sentences):
+        n = int(rng.integers(0, max_len + 1))
+        corpus.append(
+            [rare[rng.integers(len(rare))] if rng.random() < 0.2 else words[rng.integers(vocab_size)]
+             for _ in range(n)]
+        )
+    return corpus
+
+
+class TestAgreesWithPerPairTrainer:
+    CONFIGS = [
+        # (corpus seed, frequent words, window, dim, negatives, epochs);
+        # the vocabularies hold 4-14 words, so negative ids repeat often
+        (0, 3, 1, 4, 5, 1),
+        (1, 5, 8, 6, 3, 2),  # window longer than every sentence (at most 6)
+        (2, 12, 2, 8, 4, 2),
+        (3, 2, 3, 3, 1, 1),  # one negative: no repeats
+    ]
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_vectors_are_identical(self, config):
+        corpus_seed, vocab_size, window, dim, negatives, epochs = config
+        corpus = _random_corpus(corpus_seed, vocab_size)
+        kw = dict(window=window, min_freq=3, dim=dim, negatives=negatives,
+                  epochs=epochs, lr=0.05, seed=corpus_seed)
+        expected, repeated = _per_pair_train_skipgram(corpus, **kw)
+        emb = train_skipgram(corpus, **kw)
+        np.testing.assert_array_equal(emb.vectors, expected)
+        in_vocab = [[t for t in s if t in emb.vocab] for s in corpus]
+        assert any(len(s) < 2 for s in in_vocab) and any(len(s) >= 2 for s in in_vocab)
+        # with more than one negative, some pairs took the np.subtract.at branch
+        assert (repeated > 0) == (negatives > 1)

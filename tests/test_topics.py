@@ -234,6 +234,28 @@ class TestBatchedSimplexSolver:
         assert capped_at_one.all()
         assert not capped[len(x) - 3]  # the zero row converges
 
+    @pytest.mark.parametrize("scale", [1e11, 1e14])
+    def test_a_huge_row_does_not_overflow(self, scale):
+        # unnormalized input: the gradient spread times the step size
+        # exceeds exp's range, which a shift by the row maximum overflowed
+        rng = np.random.default_rng(0)
+        q_row = rng.random((50, 50)) ** 3
+        q_row /= q_row.sum(axis=1, keepdims=True)
+        anchors = [0, 1, 2, 3, 4, 5]
+        word_prob = np.full(50, 1 / 50)
+        plain, _ = recover_beta(q_row, anchors, word_prob)
+        q_row[10] *= scale
+        with np.errstate(over="raise", invalid="raise"):
+            beta, residuals = recover_beta(q_row, anchors, word_prob)
+        assert np.isfinite(beta).all() and np.isfinite(residuals).all()
+        others = np.arange(50) != 10
+        # word 10's weight enters each topic's normalizer, nothing else
+        np.testing.assert_allclose(
+            beta[:, others] / beta[:, others].sum(axis=1, keepdims=True),
+            plain[:, others] / plain[:, others].sum(axis=1, keepdims=True),
+            rtol=0, atol=1e-14,
+        )
+
     def test_capped_words_are_logged(self, caplog):
         x, _ = _simplex_instance(5)
         q_row = np.vstack([x[:-3], np.eye(x.shape[1])[:3]])  # last three rows: anchors
