@@ -4,6 +4,9 @@ One binary with subcommands covering the pipeline stages. Every run
 reads an optional JSON config (flags override config keys), writes its
 artifacts under --out, and drops a manifest.json with input/output
 hashes, seeds and the package version so reruns are verifiable.
+
+Each subcommand is a `cmd_*(config, out)` function listed in COMMANDS;
+it returns its (inputs, outputs) and main() does the shared glue.
 """
 
 import argparse
@@ -17,15 +20,7 @@ from collections import Counter
 import numpy as np
 
 from . import __version__, classify, evaluation, newsstudy, pipeline, resources
-from .corpus import (
-    assemble_documents,
-    filter_users,
-    group_tweets,
-    ground_truth_labels,
-    load_friends,
-    load_tweets,
-    load_vaa_results,
-)
+from .corpus import assemble_documents, group_tweets, load_friends, load_tweets
 from .polex import Lexicon
 from .synthgen import SynthSpec, generate
 from .textprep import build_network_matrix, save_dfm
@@ -33,6 +28,7 @@ from .topics import (
     fit_topic_model,
     fold_in,
     load_topic_model,
+    prevalence_regression,
     save_topic_model,
     word_scores,
     write_theta_csv,
@@ -72,9 +68,9 @@ def _write_manifest(out_dir, subcommand, config, inputs, outputs) -> None:
         fh.write("\n")
 
 
-def _load_config(args, required_paths=(), required_keys=()) -> dict:
+def _load_config(args, required_paths=()) -> dict:
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         if not os.path.exists(args.config):
             raise ConfigError(f"field 'config': file not found: {args.config}")
         with open(args.config) as fh:
@@ -83,24 +79,17 @@ def _load_config(args, required_paths=(), required_keys=()) -> dict:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"field 'config': invalid JSON ({exc})") from None
     for key, value in vars(args).items():
-        if key in ("func", "config") or value is None:
+        if key == "config" or value is None:
             continue
         config[key] = value
-    for key in required_keys:
-        if key not in config:
-            raise ConfigError(f"field '{key}': required but missing")
+    if "out" not in config:
+        raise ConfigError("field 'out': required but missing")
     for key in required_paths:
         if key not in config:
             raise ConfigError(f"field '{key}': required but missing")
         if not os.path.exists(config[key]):
             raise ConfigError(f"field '{key}': file not found: {config[key]}")
     return config
-
-
-def _ensure_out(config) -> str:
-    out = config.get("out", "out")
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _pipeline_config(config) -> pipeline.PipelineConfig:
@@ -134,9 +123,16 @@ def _pipeline_config(config) -> pipeline.PipelineConfig:
     return cfg
 
 
-def cmd_synth(args) -> int:
-    config = _load_config(args, required_keys=("out",))
-    out = _ensure_out(config)
+def _inputs(config, *keys) -> list[str]:
+    """Manifest inputs of a stage that may read follows: the named input
+    files, then the friends file when one is given."""
+    inputs = [config[key] for key in keys]
+    if config.get("friends"):
+        inputs.append(config["friends"])
+    return inputs
+
+
+def cmd_synth(config, out):
     spec = SynthSpec(
         n_users=config.get("n_users", 800),
         class_ratio=config.get("class_ratio", 0.5),
@@ -153,26 +149,19 @@ def cmd_synth(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"field 'synth': {exc}") from None
     result = generate(spec, out)
-    outputs = [result.tweets_path, result.friends_path, result.vaa_path, result.truth_path]
-    _write_manifest(out, "synth", _public(config), [], outputs)
     print(f"wrote synthetic corpus for {spec.n_users} users to {out}")
-    return EXIT_OK
+    return [], [result.tweets_path, result.friends_path, result.vaa_path, result.truth_path]
 
 
-def cmd_ingest(args) -> int:
-    config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
-    out = _ensure_out(config)
-    cfg = _pipeline_config(config)
-    tweets = load_tweets(config["tweets"])
-    users = group_tweets(tweets)
-    kept = filter_users(users.values(), cfg.min_english, cfg.min_tweets)
-    kept_ids = {u.user_id for u in kept}
-    records = ground_truth_labels(load_vaa_results(config["vaa"]))
+def cmd_ingest(config, out):
+    tweets, n_users_raw, kept, records = pipeline.ingest(
+        config["tweets"], config["vaa"], _pipeline_config(config)
+    )
     labels_path = os.path.join(out, "labels.csv")
     with open(labels_path, "w") as fh:
         fh.write("user_id,normalized_score,label\n")
         for uid in sorted(records):
-            if uid in kept_ids:
+            if uid in kept:
                 r = records[uid]
                 fh.write(f"{uid},{r.normalized_score!r},{r.label}\n")
     summary_path = os.path.join(out, "ingest_summary.json")
@@ -180,34 +169,26 @@ def cmd_ingest(args) -> int:
         json.dump(
             {
                 "n_tweets": len(tweets),
-                "n_users_raw": len(users),
+                "n_users_raw": n_users_raw,
                 "n_users_kept": len(kept),
                 "n_labeled": len(records),
             },
             fh, sort_keys=True, indent=2,
         )
         fh.write("\n")
-    _write_manifest(out, "ingest", _public(config), [config["tweets"], config["vaa"]],
-                    [labels_path, summary_path])
-    print(f"kept {len(kept)} of {len(users)} users; labels at {labels_path}")
-    return EXIT_OK
+    print(f"kept {len(kept)} of {n_users_raw} users; labels at {labels_path}")
+    return [config["tweets"], config["vaa"]], [labels_path, summary_path]
 
 
-def cmd_lexicon(args) -> int:
-    config = _load_config(args, required_paths=("tweets",), required_keys=("out",))
-    out = _ensure_out(config)
-    cfg = _pipeline_config(config)
-    lexicon = pipeline.build_lexicon(load_tweets(config["tweets"]), cfg)
+def cmd_lexicon(config, out):
+    lexicon = pipeline.build_lexicon(load_tweets(config["tweets"]), _pipeline_config(config))
     lex_path = os.path.join(out, "lexicon.json")
     lexicon.save(lex_path)
-    _write_manifest(out, "lexicon", _public(config), [config["tweets"]], [lex_path])
     print(f"lexicon of {len(lexicon)} terms at {lex_path}")
-    return EXIT_OK
+    return [config["tweets"]], [lex_path]
 
 
-def cmd_dfm(args) -> int:
-    config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
-    out = _ensure_out(config)
+def cmd_dfm(config, out):
     cfg = _pipeline_config(config)
     bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
     users = sorted(bundle.labels)
@@ -228,18 +209,12 @@ def cmd_dfm(args) -> int:
         save_dfm(net, triplet, header)
         outputs += [triplet, header]
         print(f"net: {net.shape[0]} users x {net.shape[1]} accounts")
-    inputs = [config["tweets"], config["vaa"]]
-    if config.get("friends"):
-        inputs.append(config["friends"])
-    _write_manifest(out, "dfm", _public(config), inputs, outputs)
-    return EXIT_OK
+    return _inputs(config, "tweets", "vaa"), outputs
 
 
-def cmd_topics(args) -> int:
-    config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
-    out = _ensure_out(config)
+def cmd_topics(config, out):
     cfg = _pipeline_config(config)
-    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
+    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], None, cfg)
     users = sorted(bundle.labels)
     which = config.get("which", "nonpol")
     if which not in ("pol", "nonpol"):
@@ -256,25 +231,16 @@ def cmd_topics(args) -> int:
     write_theta_csv(theta_csv, users, theta)
     write_top_words_csv(words_csv, word_scores(model.beta, model.vocab), model.k)
     effects_csv = os.path.join(out, "prevalence.csv")
-    from .topics import prevalence_regression
-
     effects = prevalence_regression(theta, [bundle.labels[u] for u in users])
     with open(effects_csv, "w") as fh:
         fh.write("topic,estimate,ci_low,ci_high\n")
         for e in effects:
             fh.write(f"{e.topic},{e.estimate!r},{e.ci_low!r},{e.ci_high!r}\n")
-    inputs = [config["tweets"], config["vaa"]]
-    _write_manifest(out, "topics", _public(config), inputs,
-                    [header, beta_csv, theta_csv, words_csv, effects_csv])
     print(f"fitted {model.k} topics over {len(model.vocab)} features")
-    return EXIT_OK
+    return [config["tweets"], config["vaa"]], [header, beta_csv, theta_csv, words_csv, effects_csv]
 
 
-def cmd_train(args) -> int:
-    config = _load_config(
-        args, required_paths=("tweets", "vaa"), required_keys=("out",)
-    )
-    out = _ensure_out(config)
+def cmd_train(config, out):
     cfg = _pipeline_config(config)
     dataset = config.get("dataset", "non-pol+net")
     family = config.get("family", "SVM_poly")
@@ -316,18 +282,12 @@ def cmd_train(args) -> int:
         )
         fh.write("\n")
     outputs.append(meta_path)
-    inputs = [config["tweets"], config["vaa"]]
-    if config.get("friends"):
-        inputs.append(config["friends"])
-    _write_manifest(out, "train", _public(config), inputs, outputs)
     m = sample.metrics[dataset][family]
     print(f"{dataset}/{family}: F1={m['f1']:.3f} P={m['precision']:.3f} R={m['recall']:.3f}")
-    return EXIT_OK
+    return _inputs(config, "tweets", "vaa"), outputs
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args, required_paths=("tweets", "vaa"), required_keys=("out",))
-    out = _ensure_out(config)
+def cmd_eval(config, out):
     cfg = _pipeline_config(config)
     if any(pipeline.DATASETS[d].net for d in cfg.datasets) and not config.get("friends"):
         raise ConfigError("field 'friends': required for network datasets")
@@ -398,33 +358,21 @@ def cmd_eval(args) -> int:
             fh.write("\n")
         outputs.append(diag_path)
 
-    inputs = [config["tweets"], config["vaa"]]
-    if config.get("friends"):
-        inputs.append(config["friends"])
-    _write_manifest(out, "eval", _public(config), inputs, outputs)
     for dataset, fams in sorted(report["mean"].items()):
         for family, m in sorted(fams.items()):
             print(f"{dataset:12s} {family:8s} F1={m['f1']:.3f} P={m['precision']:.3f} R={m['recall']:.3f}")
-    return EXIT_OK
+    return _inputs(config, "tweets", "vaa"), outputs
 
 
-def cmd_predict(args) -> int:
-    config = _load_config(
-        args,
-        required_paths=("tweets", "model_dir"),
-        required_keys=("out",),
-    )
-    out = _ensure_out(config)
+def cmd_predict(config, out):
     cfg = _pipeline_config(config)
     meta, bundle_files = _bundle_meta(config)
     users = group_tweets(load_tweets(config["tweets"]))
     preds = _predict_users(config, cfg, meta, users, config.get("tau", meta.get("tau", 0.5)))
     pred_path = os.path.join(out, "predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
-    inputs = _prediction_inputs(config, ["tweets"], bundle_files)
-    _write_manifest(out, "predict", _public(config), inputs, [pred_path])
     print(f"wrote {len(preds)} predictions to {pred_path}")
-    return EXIT_OK
+    return _inputs(config, "tweets") + bundle_files, [pred_path]
 
 
 def _bundle_meta(config) -> tuple[dict, list[str]]:
@@ -453,15 +401,6 @@ def _bundle_meta(config) -> tuple[dict, list[str]]:
     if blocks.net:
         files += required("network_columns.json")
     return meta, files
-
-
-def _prediction_inputs(config, keys, bundle_files) -> list[str]:
-    """Manifest inputs of predict/newsstudy: the named input files, the
-    friends file when given, and the bundle files."""
-    inputs = [config[key] for key in keys]
-    if config.get("friends"):
-        inputs.append(config["friends"])
-    return inputs + bundle_files
 
 
 def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
@@ -497,13 +436,7 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
     return pipeline.join_features(user_ids, text, net)
 
 
-def cmd_newsstudy(args) -> int:
-    config = _load_config(
-        args,
-        required_paths=("shares", "tweets", "model_dir"),
-        required_keys=("out",),
-    )
-    out = _ensure_out(config)
+def cmd_newsstudy(config, out):
     cfg = _pipeline_config(config)
     meta, bundle_files = _bundle_meta(config)
     patterns = newsstudy.load_patterns(resources.url_patterns())
@@ -527,9 +460,21 @@ def cmd_newsstudy(args) -> int:
     pred_path = os.path.join(out, "sharer_predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
     print(newsstudy.format_counts(table))
-    inputs = _prediction_inputs(config, ["shares", "tweets"], bundle_files)
-    _write_manifest(out, "newsstudy", _public(config), inputs, [table_path, pred_path])
-    return EXIT_OK
+    return _inputs(config, "shares", "tweets") + bundle_files, [table_path, pred_path]
+
+
+# subcommand -> (function, config keys naming input files that must exist)
+COMMANDS = {
+    "synth": (cmd_synth, ()),
+    "ingest": (cmd_ingest, ("tweets", "vaa")),
+    "lexicon": (cmd_lexicon, ("tweets",)),
+    "dfm": (cmd_dfm, ("tweets", "vaa")),
+    "topics": (cmd_topics, ("tweets", "vaa")),
+    "train": (cmd_train, ("tweets", "vaa")),
+    "eval": (cmd_eval, ("tweets", "vaa")),
+    "predict": (cmd_predict, ("tweets", "model_dir")),
+    "newsstudy": (cmd_newsstudy, ("shares", "tweets", "model_dir")),
+}
 
 
 def _public(config: dict) -> dict:
@@ -561,16 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homophily", type=float, help="network homophily in [0.5,1]")
     p.add_argument("--class-ratio", dest="class_ratio", type=float)
     p.add_argument("--political-fraction", dest="political_fraction", type=float)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("ingest", help="load tweets + VAA, filter users, emit labels")
     _add_common(p)
     p.add_argument("--tweets")
     p.add_argument("--vaa")
-    p.add_argument("--friends")
     p.add_argument("--min-english", dest="min_english", type=float)
     p.add_argument("--min-tweets", dest="min_tweets", type=int)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("lexicon", help="induce the political lexicon")
     _add_common(p)
@@ -581,14 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="expand seeds with skip-gram nearest neighbours")
     p.add_argument("--window", type=int)
     p.add_argument("--min-freq", dest="min_freq", type=int)
-    p.set_defaults(func=cmd_lexicon)
 
     p = sub.add_parser("dfm", help="build and save the sparse feature matrices")
     _add_common(p)
     p.add_argument("--tweets")
     p.add_argument("--vaa")
     p.add_argument("--friends")
-    p.set_defaults(func=cmd_dfm)
 
     p = sub.add_parser("topics", help="fit the topic model and emit theta/top words")
     _add_common(p)
@@ -596,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vaa")
     p.add_argument("--k", type=int)
     p.add_argument("--which", choices=["pol", "nonpol"])
-    p.set_defaults(func=cmd_topics)
 
     p = sub.add_parser("train", help="train one classifier and save a model bundle")
     _add_common(p)
@@ -606,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=list(pipeline.DATASETS))
     p.add_argument("--family", choices=list(classify.FAMILIES))
     p.add_argument("--k", type=int)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="full evaluation across datasets and classifiers")
     _add_common(p)
@@ -618,7 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", dest="n_samples", type=int)
     p.add_argument("--datasets", nargs="+")
     p.add_argument("--families", nargs="+")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="apply a trained bundle to new users")
     _add_common(p)
@@ -626,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--friends")
     p.add_argument("--model-dir", dest="model_dir")
     p.add_argument("--tau", type=float)
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("newsstudy", help="classify news sharers and tabulate counts")
     _add_common(p)
@@ -636,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-dir", dest="model_dir")
     p.add_argument("--tau", type=float)
     p.add_argument("--count-shares", dest="count_shares", action="store_true", default=None)
-    p.set_defaults(func=cmd_newsstudy)
 
     return parser
 
@@ -644,18 +579,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.INFO,
+        level=logging.DEBUG if args.verbose else logging.INFO,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    command, required_paths = COMMANDS[args.subcommand]
     try:
-        return args.func(args)
+        config = _load_config(args, required_paths)
+        out = config["out"]
+        os.makedirs(out, exist_ok=True)
+        inputs, outputs = command(config, out)
+        _write_manifest(out, args.subcommand, _public(config), inputs, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # stage failure
-        logger.error("%s", exc, exc_info=getattr(args, "verbose", False))
+        logger.error("%s", exc, exc_info=args.verbose)
         return EXIT_STAGE_ERROR
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -125,10 +125,10 @@ def load_tweets(path) -> list[Tweet]:
 
 
 def load_friends(path) -> dict[str, list[str]]:
-    """Read follow lists from JSONL; malformed lines are logged and skipped."""
+    """Read follow lists from JSONL; malformed lines and later lines for
+    a user already read are logged and skipped."""
     friends: dict[str, list[str]] = {}
     skips = SkipLog(logger, path)
-    kept = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -138,18 +138,23 @@ def load_friends(path) -> dict[str, list[str]]:
                 obj = json.loads(line)
                 if not isinstance(obj["friends"], list):
                     raise TypeError(f"friends is {type(obj['friends']).__name__}, not a list")
-                friends[str(obj["user_id"])] = [str(f) for f in obj["friends"]]
+                user_id = str(obj["user_id"])
+                accounts = [str(f) for f in obj["friends"]]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 skips.skip(lineno, skip_reason(exc), exc)
                 continue
-            kept += 1
-    skips.summary(kept)
+            if user_id in friends:
+                skips.skip(lineno, "duplicate", f"duplicate user {user_id!r}")
+                continue
+            friends[user_id] = accounts
+    skips.summary(len(friends))
     return friends
 
 
 def load_vaa_results(path) -> list[VaaResult]:
     """Read long-format CSV (user_id, vaa, party, match) into VaaResults;
-    malformed rows, non-finite matches included, are logged and skipped."""
+    malformed rows, non-finite matches included, and later rows for a
+    (user, vaa, party) already read are logged and skipped."""
     grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
     skips = SkipLog(logger, path)
     kept = 0
@@ -166,6 +171,9 @@ def load_vaa_results(path) -> list[VaaResult]:
             if not math.isfinite(match):
                 skips.skip(reader.line_num, "non-finite match",
                            f"non-finite match {rec['match']!r}")
+                continue
+            if party in grouped[key]:
+                skips.skip(reader.line_num, "duplicate", f"duplicate {party} match for {key}")
                 continue
             grouped[key][party] = match
             kept += 1

@@ -182,7 +182,7 @@ def permutation_importance(
     seed: int = 0,
 ) -> list[tuple[str, float]]:
     """Mean F1 drop when a column is shuffled; descending, ties by name."""
-    x = np.asarray(x_test, dtype=np.float64) if not hasattr(x_test, "todense") else np.asarray(x_test.todense(), dtype=np.float64)
+    x = np.asarray(x_test, dtype=np.float64)
     rng = np.random.default_rng(seed)
     base_pred = [label_for(float(p), 0.5) for p in predict(model, x)]
     base_f1 = prf(base_pred, y_test)[2]

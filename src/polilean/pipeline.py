@@ -15,6 +15,7 @@ import numpy as np
 
 from . import classify, evaluation, resources
 from .corpus import (
+    LeaningRecord,
     Tweet,
     UserDocument,
     UserRecord,
@@ -124,15 +125,24 @@ def build_lexicon(tweets: Sequence[Tweet], cfg: PipelineConfig) -> Lexicon:
     return lexicon
 
 
-def load_corpus(tweets_path, vaa_path, friends_path, cfg: PipelineConfig) -> CorpusBundle:
-    """Ingest, filter, score ground truth and induce the lexicon."""
+def ingest(
+    tweets_path, vaa_path, cfg: PipelineConfig
+) -> tuple[list[Tweet], int, dict[str, UserRecord], dict[str, LeaningRecord]]:
+    """Load tweets and score VAA ground truth. Returns the tweets, the
+    number of users who posted them, the users who pass the
+    language/volume filter and every respondent's leaning record."""
     tweets = load_tweets(tweets_path)
-    users = group_tweets(tweets)
-    kept = filter_users(users.values(), cfg.min_english, cfg.min_tweets)
+    grouped = group_tweets(tweets)
+    kept = filter_users(grouped.values(), cfg.min_english, cfg.min_tweets)
     users = {u.user_id: u for u in kept}
     logger.info("%d users after language/volume filtering", len(users))
-
     records = ground_truth_labels(load_vaa_results(vaa_path))
+    return tweets, len(grouped), users, records
+
+
+def load_corpus(tweets_path, vaa_path, friends_path, cfg: PipelineConfig) -> CorpusBundle:
+    """Ingest, filter, score ground truth and induce the lexicon."""
+    tweets, _, users, records = ingest(tweets_path, vaa_path, cfg)
     labels = {u: r.label for u, r in records.items() if u in users}
     scores = {u: r.normalized_score for u, r in records.items() if u in users}
     logger.info("%d users with ground-truth labels", len(labels))

@@ -1,6 +1,7 @@
 """Command-line interface: the full stage chain on a tiny corpus,
 config validation exit codes and run manifests."""
 
+import argparse
 import csv
 import json
 import logging
@@ -51,6 +52,17 @@ def _run(tmp, subcommand, payload):
 def _manifest(out_dir):
     with open(os.path.join(out_dir, "manifest.json")) as fh:
         return json.load(fh)
+
+
+def _assert_manifest(out_dir, subcommand, inputs):
+    manifest = _manifest(out_dir)
+    assert manifest["subcommand"] == subcommand
+    assert set(manifest["inputs"]) == set(inputs)
+    return manifest
+
+
+TWEETS_VAA = {"tweets.jsonl", "vaa.csv"}
+TWEETS_VAA_FRIENDS = TWEETS_VAA | {"friends.jsonl"}
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +128,12 @@ class TestIngestAndLexicon:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 60
         assert {r["label"] for r in rows} == {"Left", "Right"}
+        _assert_manifest(out, "ingest", TWEETS_VAA)
+
+    def test_ingest_has_no_friends_option(self, work):
+        with pytest.raises(SystemExit):
+            cli.main(["ingest", "--tweets", work["tweets"], "--vaa", work["vaa"],
+                      "--friends", work["friends"], "--out", str(work["tmp"] / "x")])
 
     def test_lexicon(self, work):
         out = work["tmp"] / "lexicon"
@@ -125,8 +143,7 @@ class TestIngestAndLexicon:
         assert code == 0
         lex = Lexicon.load(out / "lexicon.json")
         assert len(lex) >= 1
-        manifest = _manifest(str(out))
-        assert set(manifest["inputs"]) == {"tweets.jsonl"}
+        _assert_manifest(out, "lexicon", {"tweets.jsonl"})
 
 
 class TestDfmAndTopics:
@@ -143,7 +160,7 @@ class TestDfmAndTopics:
             "dfm_net.csv", "dfm_net.json",
         }
         assert expected <= set(os.listdir(out))
-        assert expected == set(_manifest(str(out))["outputs"])
+        assert expected == set(_assert_manifest(out, "dfm", TWEETS_VAA_FRIENDS)["outputs"])
         dfm = load_dfm(out / "dfm_nonpol.csv", out / "dfm_nonpol.json")
         assert dfm.shape[0] == 60
         assert dfm.shape[1] >= 1
@@ -165,6 +182,7 @@ class TestDfmAndTopics:
             assert abs(total - 1.0) <= 1e-6
         assert os.path.exists(out / "top_words.csv")
         assert os.path.exists(out / "prevalence.csv")
+        _assert_manifest(out, "topics", TWEETS_VAA)
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +197,12 @@ def trained(work):
     return str(out)
 
 
+BUNDLE_INPUTS = {
+    "tweets.jsonl", "friends.jsonl", "classifier.json", "lexicon.json",
+    "train_meta.json", "topic_model.json", "topic_beta.csv", "network_columns.json",
+}
+
+
 class TestTrainPredict:
     def test_train_artifacts(self, trained):
         expected = {
@@ -191,6 +215,7 @@ class TestTrainPredict:
         assert meta["dataset"] == "non-pol+net"
         assert meta["family"] == "SVM_poly"
         assert 0.0 <= meta["metrics"]["f1"] <= 1.0
+        _assert_manifest(trained, "train", TWEETS_VAA_FRIENDS)
 
     def test_predict_covers_every_user(self, work, trained):
         out = work["tmp"] / "preds"
@@ -218,11 +243,7 @@ class TestTrainPredict:
                 "tweets": work["tweets"], "friends": friends,
                 "model_dir": trained, "out": str(out), **COMMON,
             }) == 0
-            inputs.append(_manifest(out)["inputs"])
-        assert set(inputs[0]) == {
-            "tweets.jsonl", "friends.jsonl", "classifier.json", "lexicon.json",
-            "train_meta.json", "topic_model.json", "topic_beta.csv", "network_columns.json",
-        }
+            inputs.append(_assert_manifest(out, "predict", BUNDLE_INPUTS)["inputs"])
         assert inputs[0]["friends.jsonl"] != inputs[1]["friends.jsonl"]
         assert {k: v for k, v in inputs[0].items() if k != "friends.jsonl"} == {
             k: v for k, v in inputs[1].items() if k != "friends.jsonl"
@@ -264,6 +285,7 @@ class TestTrainPredict:
         sport_total = sum(int(r["total"]) for r in rows if r["newstype"] == "sport")
         assert political_total == 8 and sport_total == 4
         assert os.path.exists(out / "sharer_predictions.csv")
+        _assert_manifest(out, "newsstudy", BUNDLE_INPUTS | {"shares.jsonl"})
 
     def test_newsstudy_uses_the_bundles_dataset(self, work):
         # a text-only bundle has no network_columns.json; newsstudy must
@@ -448,6 +470,14 @@ class TestEval:
         assert lines[0] == "dataset,family,f1,precision,recall,unknown"
         assert lines[1].startswith("net,NB,")
         assert os.path.exists(out / "follow_shares.csv")
+        _assert_manifest(out, "eval", TWEETS_VAA_FRIENDS)
+
+
+def test_parser_subcommands_are_the_command_table():
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert list(subparsers.choices) == list(cli.COMMANDS)
 
 
 class TestConfigErrors:
@@ -562,6 +592,7 @@ class TestStageErrors:
             "tweets": str(tweets), "out": str(tmp_path / "lex"),
         })
         assert code == 1
+        assert not os.path.exists(tmp_path / "lex" / "manifest.json")
 
     def test_stage_error_reason_is_logged(self, tmp_path, caplog):
         tweets = tmp_path / "tweets.jsonl"

@@ -191,6 +191,41 @@ class TestLoaderSummaries:
             f"{path}: 5 records read, 2 kept, 3 skipped, 2 invalid value, 1 non-finite match"
         )
 
+    def test_duplicate_friends_line_keeps_the_first(self, tmp_path, caplog):
+        path = tmp_path / "friends.jsonl"
+        path.write_text(
+            '{"user_id": "u1", "friends": ["a", "b"]}\n'
+            '{"user_id": "u2", "friends": ["c"]}\n'
+            '{"user_id": "u1", "friends": ["z"]}\n'
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            friends = load_friends(path)
+        assert friends == {"u1": ["a", "b"], "u2": ["c"]}
+        assert f"{path} line 3" in caplog.text
+        assert self._summary(caplog) == (
+            f"{path}: 3 records read, 2 kept, 1 skipped, 1 duplicate"
+        )
+
+    def test_duplicate_vaa_row_keeps_the_first(self, tmp_path, caplog):
+        # the third row would turn u1 Left (10 - 40) if it replaced the first
+        path = tmp_path / "vaa.csv"
+        path.write_text(
+            "user_id,vaa,party,match\n"
+            "u1,P1,Conservative,60\n"
+            "u1,P1,Labour,40\n"
+            "u1,P1,Conservative,10\n"
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            results = load_vaa_results(path)
+        assert [dict(r.party_matches) for r in results] == [
+            {"Conservative": 60.0, "Labour": 40.0}
+        ]
+        assert f"{path} line 4" in caplog.text
+        assert self._summary(caplog) == (
+            f"{path}: 3 records read, 2 kept, 1 skipped, 1 duplicate"
+        )
+        assert ground_truth_labels(results)["u1"].label == RIGHT
+
     def test_clean_file(self, tmp_path, caplog):
         path = tmp_path / "friends.jsonl"
         path.write_text('{"user_id": "u1", "friends": ["a"]}\n')

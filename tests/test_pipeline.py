@@ -76,6 +76,16 @@ class TestLoadCorpus:
         assert len(bundle.lexicon) >= 1
         assert set(bundle.documents) == set(bundle.users)
 
+    def test_ingest_agrees_with_load_corpus(self, corpus, bundle):
+        tweets, n_users_raw, users, records = pipeline.ingest(
+            corpus.tweets_path, corpus.vaa_path, TINY_CFG
+        )
+        assert n_users_raw == len({t.user_id for t in tweets}) == TINY.n_users
+        assert users.keys() == bundle.users.keys()
+        labeled = {u: r for u, r in records.items() if u in users}
+        assert {u: r.label for u, r in labeled.items()} == bundle.labels
+        assert {u: r.normalized_score for u, r in labeled.items()} == bundle.scores
+
     def test_documents_partition_tweets(self, bundle):
         doc = next(iter(bundle.documents.values()))
         assert doc.tweet_count == len(doc.political_tweets) + len(
