@@ -59,21 +59,14 @@ def encode_labels(labels) -> np.ndarray:
 
 
 def _as_dense(x) -> np.ndarray:
-    if hasattr(x, "todense"):
-        return np.asarray(x.todense(), dtype=np.float64)
     return np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
-def detect_binary_columns(x: np.ndarray) -> np.ndarray:
-    return np.array([set(np.unique(x[:, j])) <= {0.0, 1.0} for j in range(x.shape[1])])
-
-
-def train_nb(x, y, binary_mask=None) -> ClassifierModel:
-    """Gaussian/Bernoulli naive Bayes; hybrid inputs multiply both parts."""
+def train_nb(x, y, binary_mask) -> ClassifierModel:
+    """Naive Bayes, Gaussian on the columns where binary_mask is False
+    and Bernoulli where it is True; hybrid inputs multiply both parts."""
     x = _as_dense(x)
     y = np.asarray(y, dtype=np.float64)
-    if binary_mask is None:
-        binary_mask = detect_binary_columns(x)
     binary_mask = np.asarray(binary_mask, dtype=bool)
     classes = [y < 0, y > 0]
     counts = np.array([m.sum() for m in classes], dtype=np.float64)
@@ -173,7 +166,7 @@ def train_nn(x, y, hidden: int = 64, epochs: int = 200, lr: float = 0.05, seed: 
 
 def train_model(family: str, x, y, seed: int = 0, **hyper) -> ClassifierModel:
     if family == "NB":
-        return train_nb(x, y, binary_mask=hyper.get("binary_mask"))
+        return train_nb(x, y, **hyper)
     if family in _KERNELS:
         return train_svm(x, y, kernel=_KERNELS[family], seed=seed, **hyper)
     if family == "NN":

@@ -92,28 +92,28 @@ def _load_config(args, required_paths=()) -> dict:
     return config
 
 
+# config key -> PipelineConfig field; a later key wins over an earlier
+# one that names the same field
+CONFIG_FIELDS = {
+    "k": "k_topics", "k_topics": "k_topics",
+    "sparsity_pol": "sparsity_pol", "sparsity_nonpol": "sparsity_nonpol",
+    "sparsity_net": "sparsity_net",
+    "threshold": "lexicon_threshold", "min_lexicon_tweets": "lexicon_min_tweets",
+    "expand": "expand_with_embedding",
+    "window": "embedding_window", "min_freq": "embedding_min_freq",
+    "min_english": "min_english", "min_tweets": "min_tweets",
+    "tau": "tau", "n_samples": "n_samples", "seed": "seed",
+    "calibration_folds": "calibration_folds", "nn_epochs": "nn_epochs",
+    "datasets": "datasets", "families": "families",
+}
+
+
 def _pipeline_config(config) -> pipeline.PipelineConfig:
-    cfg = pipeline.PipelineConfig()
-    mapping = {
-        "k": "k_topics", "k_topics": "k_topics",
-        "sparsity_pol": "sparsity_pol", "sparsity_nonpol": "sparsity_nonpol",
-        "sparsity_net": "sparsity_net",
-        "threshold": "lexicon_threshold", "min_lexicon_tweets": "lexicon_min_tweets",
-        "expand": "expand_with_embedding",
-        "window": "embedding_window", "min_freq": "embedding_min_freq",
-        "min_english": "min_english", "min_tweets": "min_tweets",
-        "tau": "tau", "n_samples": "n_samples", "seed": "seed",
-        "calibration_folds": "calibration_folds", "nn_epochs": "nn_epochs",
-    }
-    for key, attr in mapping.items():
-        if key in config:
-            setattr(cfg, attr, config[key])
-    if "datasets" in config:
-        cfg.datasets = tuple(config["datasets"])
-    if "families" in config:
-        cfg.families = tuple(config["families"])
-    if "ngram_orders" in config:
-        cfg.ngram_orders = tuple(config["ngram_orders"])
+    values = {field: config[key] for key, field in CONFIG_FIELDS.items() if key in config}
+    for field in ("datasets", "families"):
+        if field in values:
+            values[field] = tuple(values[field])
+    cfg = pipeline.PipelineConfig(**values)
     for d in cfg.datasets:
         if d not in pipeline.DATASETS:
             raise ConfigError(f"field 'datasets': unknown dataset {d!r}")
@@ -193,8 +193,8 @@ def cmd_dfm(config, out):
     bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
     users = sorted(bundle.labels)
     outputs = []
-    for which, sparsity in (("pol", cfg.sparsity_pol), ("nonpol", cfg.sparsity_nonpol)):
-        dfm = pipeline.build_text_dfm(bundle, users, which, sparsity, cfg.ngram_orders)
+    for which in ("pol", "nonpol"):
+        dfm = pipeline.build_text_dfm(bundle, users, which, cfg)
         triplet = os.path.join(out, f"dfm_{which}.csv")
         header = os.path.join(out, f"dfm_{which}.json")
         save_dfm(dfm, triplet, header)
@@ -213,14 +213,13 @@ def cmd_dfm(config, out):
 
 
 def cmd_topics(config, out):
-    cfg = _pipeline_config(config)
-    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], None, cfg)
-    users = sorted(bundle.labels)
     which = config.get("which", "nonpol")
     if which not in ("pol", "nonpol"):
         raise ConfigError(f"field 'which': must be pol or nonpol, got {which!r}")
-    sparsity = cfg.sparsity_pol if which == "pol" else cfg.sparsity_nonpol
-    dfm = pipeline.build_text_dfm(bundle, users, which, sparsity, cfg.ngram_orders)
+    cfg = _pipeline_config(config)
+    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], None, cfg)
+    users = sorted(bundle.labels)
+    dfm = pipeline.build_text_dfm(bundle, users, which, cfg)
     model = fit_topic_model(dfm, cfg.k_topics)
     theta = fold_in(dfm, model)
     header = os.path.join(out, "topic_model.json")
@@ -365,10 +364,9 @@ def cmd_eval(config, out):
 
 
 def cmd_predict(config, out):
-    cfg = _pipeline_config(config)
     meta, bundle_files = _bundle_meta(config)
     users = group_tweets(load_tweets(config["tweets"]))
-    preds = _predict_users(config, cfg, meta, users, config.get("tau", meta.get("tau", 0.5)))
+    preds = _predict_users(config, meta, users, config.get("tau", meta.get("tau", 0.5)))
     pred_path = os.path.join(out, "predictions.csv")
     classify.write_predictions_csv(pred_path, preds)
     print(f"wrote {len(preds)} predictions to {pred_path}")
@@ -403,7 +401,7 @@ def _bundle_meta(config) -> tuple[dict, list[str]]:
     return meta, files
 
 
-def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
+def _predict_users(config, meta, users, tau) -> list[classify.Prediction]:
     """Classify grouped users with the saved bundle, on the dataset it
     was trained on."""
     model_dir = config["model_dir"]
@@ -412,12 +410,12 @@ def _predict_users(config, cfg, meta, users, tau) -> list[classify.Prediction]:
     docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
     user_ids = sorted(docs)
     features, unknown_users = _prediction_features(
-        config, cfg, model_dir, meta["dataset"], docs, user_ids
+        config, model_dir, meta["dataset"], docs, user_ids
     )
     return newsstudy.classify_sharers(features, user_ids, model, tau, unknown_users)
 
 
-def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
+def _prediction_features(config, model_dir, dataset, docs, user_ids):
     """Feature rows for new users matching a trained bundle, built as
     evaluation builds test users' rows, and the users to label Unknown
     (see pipeline.join_features)."""
@@ -427,7 +425,7 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
         tmodel = load_topic_model(
             os.path.join(model_dir, "topic_model.json"), os.path.join(model_dir, "topic_beta.csv")
         )
-        text = pipeline.fold_in_users(docs, user_ids, blocks.text, tmodel, cfg.ngram_orders)
+        text = pipeline.fold_in_users(docs, user_ids, blocks.text, tmodel)
     if blocks.net:
         with open(os.path.join(model_dir, "network_columns.json")) as fh:
             columns = json.load(fh)["columns"]
@@ -437,7 +435,6 @@ def _prediction_features(config, cfg, model_dir, dataset, docs, user_ids):
 
 
 def cmd_newsstudy(config, out):
-    cfg = _pipeline_config(config)
     meta, bundle_files = _bundle_meta(config)
     patterns = newsstudy.load_patterns(resources.url_patterns())
     events = newsstudy.load_share_events(config["shares"], patterns)
@@ -447,7 +444,7 @@ def cmd_newsstudy(config, out):
 
     wanted = set(sharers)
     users = group_tweets(t for t in load_tweets(config["tweets"]) if t.user_id in wanted)
-    preds = _predict_users(config, cfg, meta, users, config.get("tau", 0.7))
+    preds = _predict_users(config, meta, users, config.get("tau", 0.7))
     predictions = {p.user_id: p.label for p in preds}
     for uid in sharers:  # sharers without tweets
         predictions.setdefault(uid, classify.UNKNOWN)

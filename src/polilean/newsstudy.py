@@ -9,7 +9,7 @@ aggregated into a source-by-type-by-label count table.
 import csv
 import json
 import logging
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -18,6 +18,9 @@ from .corpus import SkipLog, skip_reason
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
+
+# the outlets of the count table's columns, in order
+SOURCES = ("guardian", "bbc", "telegraph")
 
 
 @dataclass(frozen=True)
@@ -111,58 +114,44 @@ def classify_sharers(
 def counts_table(
     events: Sequence[ShareEvent],
     predictions: Mapping[str, str],
-    sources: Sequence[str] = ("guardian", "bbc", "telegraph"),
     count_shares: bool = False,
 ) -> dict[tuple[str, str], dict[str, int]]:
-    """counts[(newstype, label)][source] plus a "Total" column.
+    """counts[(newstype, label)][source] for each source in SOURCES,
+    plus a "Total" column.
 
     By default each user counts once per (source, newstype) cell no
     matter how many matching links they shared; count_shares=True counts
     every share event instead. Unmatched events are skipped (reported).
     """
-    cell_users: dict[tuple[str, str, str], set | int] = defaultdict(
-        int if count_shares else set
+    shares = [(ev.user_id, *ev.matched) for ev in events if ev.matched is not None]
+    if len(shares) < len(events):
+        logger.info("%d share events matched no pattern", len(events) - len(shares))
+    if not count_shares:
+        shares = list(dict.fromkeys(shares))
+    cells = Counter(
+        (newstype, predictions.get(uid, UNKNOWN), source) for uid, source, newstype in shares
     )
-    unmatched = 0
-    for ev in events:
-        if ev.matched is None:
-            unmatched += 1
-            continue
-        source, newstype = ev.matched
-        label = predictions.get(ev.user_id, UNKNOWN)
-        key = (newstype, label, source)
-        if count_shares:
-            cell_users[key] += 1
-        else:
-            cell_users[key].add(ev.user_id)
-    if unmatched:
-        logger.info("%d share events matched no pattern", unmatched)
 
     table: dict[tuple[str, str], dict[str, int]] = {}
-    newstypes = sorted({p for p, _, _ in cell_users})
-    labels = sorted({lab for _, lab, _ in cell_users})
-    for newstype in newstypes:
-        for label in labels:
-            row = {}
-            for source in sources:
-                value = cell_users.get((newstype, label, source), 0 if count_shares else set())
-                row[source] = value if count_shares else len(value)
-            row["Total"] = sum(row[s] for s in sources)
+    for newstype in sorted({n for n, _, _ in cells}):
+        for label in sorted({lab for _, lab, _ in cells}):
+            row = {source: cells[(newstype, label, source)] for source in SOURCES}
+            row["Total"] = sum(row.values())
             table[(newstype, label)] = row
     return table
 
 
-def write_counts_csv(path, table: dict[tuple[str, str], dict[str, int]], sources=("guardian", "bbc", "telegraph")) -> None:
+def write_counts_csv(path, table: dict[tuple[str, str], dict[str, int]]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["newstype", "label", *sources, "total"])
+        writer.writerow(["newstype", "label", *SOURCES, "total"])
         for (newstype, label), row in sorted(table.items()):
-            writer.writerow([newstype, label, *(row[s] for s in sources), row["Total"]])
+            writer.writerow([newstype, label, *(row[s] for s in SOURCES), row["Total"]])
 
 
-def format_counts(table: dict[tuple[str, str], dict[str, int]], sources=("guardian", "bbc", "telegraph")) -> str:
-    lines = [f"{'type':<10} {'label':<8} " + " ".join(f"{s:>10}" for s in sources) + f" {'total':>10}"]
+def format_counts(table: dict[tuple[str, str], dict[str, int]]) -> str:
+    lines = [f"{'type':<10} {'label':<8} " + " ".join(f"{s:>10}" for s in SOURCES) + f" {'total':>10}"]
     for (newstype, label), row in sorted(table.items()):
-        cells = " ".join(f"{row[s]:>10}" for s in sources)
+        cells = " ".join(f"{row[s]:>10}" for s in SOURCES)
         lines.append(f"{newstype:<10} {label:<8} {cells} {row['Total']:>10}")
     return "\n".join(lines)

@@ -72,17 +72,13 @@ class PipelineConfig:
     expand_with_embedding: bool = False
     embedding_window: int = 5
     embedding_min_freq: int = 100
-    embedding_dim: int = 100
-    embedding_negatives: int = 5
     embedding_epochs: int = 5
     min_english: float = 0.75
     min_tweets: int = 100
-    ngram_orders: tuple[int, ...] = (1, 2, 3)
     datasets: tuple[str, ...] = tuple(DATASETS)
     families: tuple[str, ...] = classify.FAMILIES
     tau: float = 0.5
     n_samples: int = 1
-    split_ratio: float = 0.8
     calibration_folds: int = 10
     nn_epochs: int = 200
     seed: int = 0
@@ -116,8 +112,6 @@ def build_lexicon(tweets: Sequence[Tweet], cfg: PipelineConfig) -> Lexicon:
             [tokenize(t.text) for t in tweets],
             window=cfg.embedding_window,
             min_freq=cfg.embedding_min_freq,
-            dim=cfg.embedding_dim,
-            negatives=cfg.embedding_negatives,
             epochs=cfg.embedding_epochs,
             seed=cfg.seed,
         )
@@ -172,28 +166,23 @@ def user_feature_counts(
 
 
 def _side_counts(
-    documents: Mapping[str, UserDocument], users: Sequence[str], which: str, orders: Sequence[int]
+    documents: Mapping[str, UserDocument], users: Sequence[str], which: str
 ) -> dict[str, Counter]:
-    """Each user's n-gram counts over their political ("pol") or
+    """Each user's 1-3-gram counts over their political ("pol") or
     non-political document."""
     stopwords = resources.smart_stopwords()
     side = "political_tweets" if which == "pol" else "nonpolitical_tweets"
-    return {
-        uid: user_feature_counts(getattr(documents[uid], side), stopwords, orders) for uid in users
-    }
+    return {uid: user_feature_counts(getattr(documents[uid], side), stopwords) for uid in users}
 
 
 def build_text_dfm(
-    bundle: CorpusBundle,
-    users: Sequence[str],
-    which: str,
-    sparsity: float,
-    orders: Sequence[int] = (1, 2, 3),
+    bundle: CorpusBundle, users: Sequence[str], which: str, cfg: PipelineConfig
 ) -> SparseDFM:
-    """Sparsity-trimmed DFM over the chosen users' political or
-    non-political documents; its columns become a topic model's
+    """DFM over the chosen users' political or non-political documents,
+    trimmed at that side's sparsity; its columns become a topic model's
     vocabulary."""
-    return trim_sparse(build_dfm(_side_counts(bundle.documents, users, which, orders)), sparsity)
+    sparsity = cfg.sparsity_pol if which == "pol" else cfg.sparsity_nonpol
+    return trim_sparse(build_dfm(_side_counts(bundle.documents, users, which)), sparsity)
 
 
 def fold_in_users(
@@ -201,12 +190,11 @@ def fold_in_users(
     users: Sequence[str],
     which: str,
     model: TopicModel,
-    orders: Sequence[int] = (1, 2, 3),
 ) -> tuple[np.ndarray, list[str]]:
     """Topic proportions of users the model was not fitted on, one row
     per user in order, each computed from that user's document and the
     model alone. Also returns the users with no in-vocabulary feature."""
-    dfm = project_features(_side_counts(documents, users, which, orders), model.vocab)
+    dfm = project_features(_side_counts(documents, users, which), model.vocab)
     return fold_in(dfm, model), dfm.empty_rows()
 
 
@@ -280,7 +268,7 @@ def evaluate_sample(
     test, train every family on every requested dataset, score at tau."""
     users = sorted(bundle.labels)
     sample = evaluation.balanced_sample(users, bundle.labels, sample_seed)
-    train, test = evaluation.split(sample, bundle.labels, cfg.split_ratio, sample_seed)
+    train, test = evaluation.split(sample, bundle.labels, seed=sample_seed)
 
     needs = {d: DATASETS[d] for d in cfg.datasets}
     features: dict[str, tuple[np.ndarray, list[str], np.ndarray, list[str]]] = {}
@@ -305,22 +293,23 @@ def evaluate_sample(
             features[dataset] = (x_train, list(train), x_test, list(test))
 
     join(None)
-    for side, sparsity in (("pol", cfg.sparsity_pol), ("nonpol", cfg.sparsity_nonpol)):
+    for side in ("pol", "nonpol"):
         if not any(blocks.text == side for blocks in needs.values()):
             continue
-        train_dfm = build_text_dfm(bundle, train, side, sparsity, cfg.ngram_orders)
+        train_dfm = build_text_dfm(bundle, train, side, cfg)
         model = fit_topic_model(train_dfm, cfg.k_topics)
         topic_models[side] = model
         join(
             side,
             (fold_in(train_dfm, model), ()),
-            fold_in_users(bundle.documents, test, side, model, cfg.ngram_orders),
+            fold_in_users(bundle.documents, test, side, model),
         )
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}
     models: dict[tuple[str, str], classify.ClassifierModel] = {}
     for dataset, (x_tr, users_tr, x_te, users_te) in features.items():
         blocks = needs[dataset]
+        k = topic_models[blocks.text].k if blocks.text else 0
         y_tr = classify.encode_labels([bundle.labels[u] for u in users_tr])
         true_te = [bundle.labels[u] for u in users_te]
         metrics[dataset] = {}
@@ -330,11 +319,8 @@ def evaluate_sample(
                 hyper["calibration_folds"] = cfg.calibration_folds
             if family == "NN":
                 hyper["epochs"] = cfg.nn_epochs
-            if family == "NB" and blocks.text and blocks.net:
-                k = topic_models[blocks.text].k
-                mask = np.zeros(x_tr.shape[1], dtype=bool)
-                mask[k:] = True
-                hyper["binary_mask"] = mask
+            if family == "NB":  # Gaussian on topic columns, Bernoulli on follow columns
+                hyper["binary_mask"] = np.arange(x_tr.shape[1]) >= k
             model = classify.train_model(family, x_tr, y_tr, seed=sample_seed, **hyper)
             preds = classify_sharers(x_te, users_te, model, cfg.tau, unknown[dataset])
             pred = [p.label for p in preds]

@@ -15,12 +15,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
 
 EPS = 1e-10
+
+# a word must occur in at least this many documents to be an anchor
+ANCHOR_DOC_FLOOR = 2
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,6 @@ def cooccurrence(dfm: SparseDFM) -> np.ndarray:
     if h.shape[0] == 0:
         raise ValueError("no documents with at least 2 feature tokens")
     w = 1.0 / (n * (n - 1.0))
-    import scipy.sparse as sp
-
     weighted = sp.diags(w) @ h
     q = np.asarray((weighted.T @ h).todense())
     q[np.diag_indices_from(q)] -= np.asarray(weighted.sum(axis=0)).ravel()
@@ -212,20 +214,15 @@ def recover_beta(
 
 
 def infer_theta(counts, beta: np.ndarray, max_iter: int = 200) -> np.ndarray:
-    """Topic proportions for one or more documents by EM folding-in.
+    """Topic proportions of documents by EM folding-in.
 
-    Rows of `counts` are documents aligned to beta's vocabulary. Each
-    row is updated on its own for exactly max_iter steps, so a
-    document's proportions do not depend on the other rows. Any
-    all-zero row (out-of-vocabulary document) gets uniform proportions.
+    Rows of the 2-D `counts` (sparse or dense) are documents aligned to
+    beta's vocabulary. Each row is updated on its own for exactly
+    max_iter steps, so a document's proportions do not depend on the
+    other rows. Any all-zero row (out-of-vocabulary document) gets
+    uniform proportions.
     """
-    if hasattr(counts, "todense"):
-        h = np.asarray(counts.todense(), dtype=np.float64)
-        single = False
-    else:
-        arr = np.asarray(counts, dtype=np.float64)
-        single = arr.ndim == 1
-        h = np.atleast_2d(arr)
+    h = np.asarray(counts.todense() if sp.issparse(counts) else counts, dtype=np.float64)
     theta = np.full((h.shape[0], beta.shape[0]), 1.0 / beta.shape[0])
     empty = h.sum(axis=1) == 0
     if empty.any():
@@ -240,7 +237,7 @@ def infer_theta(counts, beta: np.ndarray, max_iter: int = 200) -> np.ndarray:
             ta *= (ha / p) @ beta.T
             ta /= ta.sum(axis=1, keepdims=True)
         theta[active] = ta
-    return theta[0] if single else theta
+    return theta
 
 
 def fold_in(dfm: SparseDFM, model: TopicModel) -> np.ndarray:
@@ -252,23 +249,17 @@ def fold_in(dfm: SparseDFM, model: TopicModel) -> np.ndarray:
     return infer_theta(dfm.matrix, model.beta)
 
 
-def fit_topic_model(
-    dfm: SparseDFM,
-    k: int,
-    anchor_doc_floor: int = 2,
-    tol: float = 1e-7,
-    max_iter: int = 500,
-) -> TopicModel:
+def fit_topic_model(dfm: SparseDFM, k: int) -> TopicModel:
     """End-to-end spectral fit on a trimmed DFM."""
     q = cooccurrence(dfm)
     q_row, row_sums = row_normalize(q)
     word_prob = q.sum(axis=1)
     doc_freq = np.asarray((dfm.matrix != 0).sum(axis=0)).ravel()
-    candidates = np.flatnonzero((doc_freq >= anchor_doc_floor) & (row_sums > 0))
+    candidates = np.flatnonzero((doc_freq >= ANCHOR_DOC_FLOOR) & (row_sums > 0))
     if len(candidates) == 0:
         raise ValueError("no anchor candidates above the document-frequency floor")
     anchors = find_anchors(q_row, k, candidates)
-    beta, _ = recover_beta(q_row, anchors, word_prob, tol, max_iter)
+    beta, _ = recover_beta(q_row, anchors, word_prob)
     return TopicModel(beta, tuple(anchors), tuple(dfm.col_ids), word_prob)
 
 

@@ -292,7 +292,7 @@ def test_08_nb_matches_enumerated_bayes_rule():
     y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
     y[:2] = [-1.0, -1.0]
     y[2:4] = [1.0, 1.0]
-    model = classify.train_nb(x, y)
+    model = classify.train_nb(x, y, [False, False, True, True])
     probe = x[:10]
 
     def density(row, cls_rows):

@@ -143,7 +143,7 @@ class TestNaiveBayes:
         # 2/3, so p(Right | x=1) = (4/7)(2/3) / ((4/7)(2/3)+(3/7)(2/5))
         x = np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [0.0], [1.0]])
         y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
-        model = classify.train_nb(x, y)
+        model = classify.train_nb(x, y, [True])
         p = classify.predict(model, np.array([[1.0]]))
         assert math.isclose(p[0], 20.0 / 29.0, abs_tol=1e-12)
 
@@ -162,7 +162,7 @@ class TestNaiveBayes:
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         y[:2] = [-1.0, -1.0]
         y[2:4] = [1.0, 1.0]
-        model = classify.train_nb(x, y)
+        model = classify.train_nb(x, y, [False, False, True, True])
         probe = x[:10]
 
         def density(row, cls_rows):
@@ -188,17 +188,11 @@ class TestNaiveBayes:
         ])
         np.testing.assert_allclose(classify.predict(model, probe), expected, atol=1e-12)
 
-    def test_binary_columns_detected(self):
-        x = np.array([[0.0, 0.5, 1.0], [1.0, 0.7, 1.0], [0.0, 0.2, 0.0], [1.0, 0.9, 2.0]])
-        np.testing.assert_array_equal(
-            classify.detect_binary_columns(x), [True, False, False]
-        )
-
-    def test_explicit_mask_overrides_detection(self):
+    def test_mask_decides_gaussian_or_bernoulli(self):
         rng = np.random.default_rng(3)
         x = (rng.random((12, 2)) < 0.5).astype(float)
         y = np.array([-1.0, 1.0] * 6)
-        as_bernoulli = classify.train_nb(x, y)
+        as_bernoulli = classify.train_nb(x, y, binary_mask=[True, True])
         as_gaussian = classify.train_nb(x, y, binary_mask=[False, False])
         assert as_bernoulli.inner.bern_logp1.shape == (2, 2)
         assert as_gaussian.inner.gauss_mean.shape == (2, 2)
@@ -206,7 +200,7 @@ class TestNaiveBayes:
 
     def test_needs_two_examples_per_class(self):
         with pytest.raises(ValueError, match="2 examples per class"):
-            classify.train_nb(np.eye(3), np.array([-1.0, 1.0, 1.0]))
+            classify.train_nb(np.eye(3), np.array([-1.0, 1.0, 1.0]), [True] * 3)
 
 
 class TestNeuralNet:
@@ -308,7 +302,7 @@ class TestFamilyInterface:
     def test_train_model_dispatch_and_unknown_family(self):
         x, y = _blobs(20, seed=9)
         for family in classify.FAMILIES:
-            kwargs = {"epochs": 5} if family == "NN" else {}
+            kwargs = {"NB": {"binary_mask": [False, False]}, "NN": {"epochs": 5}}.get(family, {})
             model = classify.train_model(family, x, y, **kwargs)
             assert model.family == family
             p = classify.predict(model, x)
@@ -326,7 +320,7 @@ class TestFamilyInterface:
 
     def test_feature_width_validated(self):
         x, y = _blobs(10, seed=11)
-        model = classify.train_nb(x, y)
+        model = classify.train_nb(x, y, [False, False])
         with pytest.raises(ValueError, match="feature width"):
             classify.predict(model, np.zeros((2, 5)))
 
@@ -336,7 +330,7 @@ class TestSerialization:
         x, y = _blobs(20, sep=3.0, seed=13)
         probe = np.random.default_rng(14).normal(size=(8, 2))
         for family in classify.FAMILIES:
-            kwargs = {"epochs": 5} if family == "NN" else {}
+            kwargs = {"NB": {"binary_mask": [False, False]}, "NN": {"epochs": 5}}.get(family, {})
             model = classify.train_model(family, x, y, **kwargs)
             path = tmp_path / f"{family}.json"
             classify.save_model(model, path)

@@ -3,6 +3,7 @@ config validation exit codes and run manifests."""
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -334,9 +335,8 @@ class TestTrainPredict:
         lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
         docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
         user_ids = sorted(docs)
-        cfg = cli._pipeline_config(COMMON)
         features, unknown = cli._prediction_features(
-            {"friends": str(friends_path)}, cfg, trained, "non-pol+net", docs, user_ids
+            {"friends": str(friends_path)}, trained, "non-pol+net", docs, user_ids
         )
 
         net = pipeline.align_network(friends, user_ids, columns).matrix.toarray()
@@ -386,12 +386,11 @@ class TestOneFeaturePath:
     and evaluation builds test users' rows exactly as predict does."""
 
     def _predict(self, work, trained, user_ids):
-        cfg = cli._pipeline_config(COMMON)
         users = group_tweets(load_tweets(work["tweets"]))
         lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
         docs = {uid: assemble_documents(users[uid], lexicon) for uid in user_ids}
         features, unknown = cli._prediction_features(
-            {"friends": work["friends"]}, cfg, trained, "non-pol+net", docs, user_ids
+            {"friends": work["friends"]}, trained, "non-pol+net", docs, user_ids
         )
         model = classify.load_model(os.path.join(trained, "classifier.json"))
         preds = newsstudy.classify_sharers(features, user_ids, model, 0.5, unknown)
@@ -420,7 +419,7 @@ class TestOneFeaturePath:
         lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
         docs = {uid: assemble_documents(users[uid], lexicon) for uid in users_test}
         features, unknown = cli._prediction_features(
-            {"friends": work["friends"]}, cfg, trained, "non-pol+net", docs, users_test
+            {"friends": work["friends"]}, trained, "non-pol+net", docs, users_test
         )
         assert features.dtype == x_test.dtype and features.shape == x_test.shape
         assert features.tobytes() == x_test.tobytes()
@@ -450,6 +449,19 @@ class TestOneFeaturePath:
             labels = {r["user_id"]: r["label"] for r in csv.DictReader(fh)}
         assert labels["zz_loner"] == "Unknown"
         assert len(labels) == 61
+
+    def test_prediction_ignores_the_pipeline_config(self, work, trained, tmp_path):
+        # n-grams are fixed at 1-3: a config key naming other orders
+        # must not change what the bundle predicts
+        outputs = []
+        for name, extra in (("plain", {}), ("unigrams", {"ngram_orders": [1]})):
+            out = tmp_path / name
+            assert _run(tmp_path, "predict", {
+                "tweets": work["tweets"], "friends": work["friends"], "model_dir": trained,
+                "out": str(out), "tau": 0.5, **COMMON, **extra,
+            }) == 0
+            outputs.append((out / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestEval:
@@ -574,6 +586,22 @@ class TestConfigErrors:
         })
         assert code == 2
         assert "missing classifier.json" in capsys.readouterr().err
+
+    def test_topics_checks_which_before_loading(self, work, monkeypatch, capsys):
+        def load_corpus(*args, **kwargs):
+            raise AssertionError("the corpus was loaded before the config was checked")
+
+        monkeypatch.setattr(pipeline, "load_corpus", load_corpus)
+        code = _run(work["tmp"], "topics", {
+            "tweets": work["tweets"], "vaa": work["vaa"],
+            "out": str(work["tmp"] / "bad_topics"), "which": "bogus", **COMMON,
+        })
+        assert code == 2
+        assert "field 'which'" in capsys.readouterr().err
+
+    def test_every_config_key_names_a_pipeline_field(self):
+        fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
+        assert set(cli.CONFIG_FIELDS.values()) <= fields
 
 
 class TestStageErrors:

@@ -216,7 +216,7 @@ class TestPermutationImportance:
         noise = rng.normal(size=n)
         x = np.column_stack([informative, noise])
         y_str = ["Left"] * (n // 2) + ["Right"] * (n // 2)
-        model = classify.train_nb(x, classify.encode_labels(y_str))
+        model = classify.train_nb(x, classify.encode_labels(y_str), [False, False])
         return model, x, y_str
 
     def test_informative_feature_ranks_first(self):

@@ -143,7 +143,7 @@ class TestClassifySharers:
     def _model(self):
         x = np.array([[-2.0], [-1.8], [-2.2], [2.0], [1.8], [2.2]])
         y = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
-        return classify.train_nb(x, y)
+        return classify.train_nb(x, y, [False])
 
     def test_high_threshold_and_forced_unknown(self):
         model = self._model()

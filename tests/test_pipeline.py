@@ -99,8 +99,9 @@ class TestLoadCorpus:
 class TestTextDfm:
     def test_political_and_nonpolitical_are_different_matrices(self, bundle):
         users = sorted(bundle.labels)[:20]
-        pol = pipeline.build_text_dfm(bundle, users, "pol", 0.99)
-        nonpol = pipeline.build_text_dfm(bundle, users, "nonpol", 0.99)
+        cfg = dataclasses.replace(TINY_CFG, sparsity_pol=0.99, sparsity_nonpol=0.99)
+        pol = pipeline.build_text_dfm(bundle, users, "pol", cfg)
+        nonpol = pipeline.build_text_dfm(bundle, users, "nonpol", cfg)
         assert pol.row_ids == tuple(users)
         assert nonpol.row_ids == tuple(users)
         # political documents are sparse short texts; the two views
@@ -179,6 +180,21 @@ class TestEvaluateSample:
                 len(every.network_columns) if blocks.net else 0
             )
             assert x_tr.shape[1] == x_te.shape[1] == width, dataset
+
+    def test_nb_is_gaussian_on_topics_and_bernoulli_on_follows(self, bundle):
+        cfg = dataclasses.replace(
+            TINY_CFG, datasets=("pol", "net", "non-pol+net"), families=("NB",)
+        )
+        every = pipeline.evaluate_sample(bundle, cfg, sample_seed=0)
+        n_net = len(every.network_columns)
+        assert n_net >= 1
+        for dataset, expected in (
+            ("pol", [False] * cfg.k_topics),
+            ("net", [True] * n_net),
+            ("non-pol+net", [False] * cfg.k_topics + [True] * n_net),
+        ):
+            mask = every.models[(dataset, "NB")].inner.binary_mask
+            assert mask.tolist() == expected, dataset
 
     def test_strong_synthetic_signal_learned(self, sample):
         # delta=0.8 and homophily=0.9 make this corpus easy; every

@@ -298,9 +298,9 @@ class TestInferTheta:
             [0.5, 0.5, 0.0, 0.0],
             [0.0, 0.0, 0.5, 0.5],
         ])
-        theta = infer_theta(np.array([0.0, 0.0, 20.0, 20.0]), beta)
-        assert theta.shape == (2,)  # 1-D in, 1-D out
-        np.testing.assert_allclose(theta, [0.0, 1.0], atol=1e-6)
+        theta = infer_theta(np.array([[0.0, 0.0, 20.0, 20.0]]), beta)
+        assert theta.shape == (1, 2)
+        np.testing.assert_allclose(theta, [[0.0, 1.0]], atol=1e-6)
 
     def test_empty_document_gets_uniform_with_warning(self, caplog):
         # project_features gives the one warning per fold-in; here it is
@@ -382,7 +382,7 @@ class TestFitOnPlantedData:
             [1.0, 4.0, 0.0],
             [0.0, 0.0, 9.0],
         ])
-        model = fit_topic_model(_dfm_from_counts(counts), 2, anchor_doc_floor=2)
+        model = fit_topic_model(_dfm_from_counts(counts), 2)
         assert 2 not in model.anchors
 
 
