@@ -143,6 +143,8 @@ def train_svm(
     oof = np.zeros(len(y))
     have_oof = np.zeros(len(y), dtype=bool)
     for fold in _fold_indices(len(y), calibration_folds, seed):
+        if fold.size == 0:  # fewer rows than folds
+            continue
         mask = np.ones(len(y), dtype=bool)
         mask[fold] = False
         if len(set(y[mask])) < 2:

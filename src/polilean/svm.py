@@ -72,46 +72,77 @@ def smo_train(
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ValueError("labels must be -1/+1")
     n = len(y)
-    k = kernel.matrix(x, x)
-    alpha = np.zeros(n)
-    g = np.ones(n)  # dual gradient at alpha = 0
+    # Fortran order makes each column k[:, i] contiguous; the row k[i] is
+    # no substitute, since the rbf Gram is not bit-symmetric
+    k = np.asfortranarray(kernel.matrix(x, x))
+    cols = list(k.T)  # views: cols[i] is k[:, i]
+    diag = k.diagonal().tolist()
+    pos = (y > 0).tolist()
+    alpha = [0.0] * n
+    # yg = y * g, with g = 1 at alpha = 0; y is +-1, so updating yg by
+    # -step * (k_i - k_j) rounds exactly as updating g by -y*step*(...)
+    yg = y.copy()
+    # set membership as additive offsets: 0 inside, -inf (up) or +inf
+    # (down) outside, so argmax/argmin pick the first index on ties
+    off_up = np.where(y > 0, 0.0, -np.inf)
+    off_down = np.where(y > 0, np.inf, 0.0)
+    up_val, down_val, col = np.empty(n), np.empty(n), np.empty(n)
 
+    def select() -> tuple[int | None, int | None]:
+        """argmax of yg over up and argmin over down; None for an empty set."""
+        i = int(np.add(yg, off_up, out=up_val).argmax())
+        j = int(np.add(yg, off_down, out=down_val).argmin())
+        return (i if up_val[i] > -np.inf else None), (j if down_val[j] < np.inf else None)
+
+    def update_sets(t: int) -> None:
+        a = alpha[t]
+        off_up[t] = 0.0 if (a < c if pos[t] else a > 0) else -np.inf
+        off_down[t] = 0.0 if (a > 0 if pos[t] else a < c) else np.inf
+
+    cap = MAX_PAIR_UPDATES
     converged = False
-    for _ in range(MAX_PAIR_UPDATES):
-        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-        down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
-        if not up.any() or not down.any():
+    for updates in range(cap):
+        i, j = select()
+        if i is None or j is None:
             converged = True
             break
-        yg = y * g
-        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
-        j = int(np.flatnonzero(down)[np.argmin(yg[down])])
-        gap = yg[i] - yg[j]
+        gap = yg.item(i) - yg.item(j)
         if gap <= tol:
             converged = True
             break
-        quad = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        quad = max(diag[i] + diag[j] - 2.0 * k.item(i, j), 1e-12)
         # direction: alpha_i += y_i*t, alpha_j -= y_j*t (preserves the
         # equality constraint); box limits keep both alphas in [0, C]
-        hi_i = c - alpha[i] if y[i] > 0 else alpha[i]
-        hi_j = alpha[j] if y[j] > 0 else c - alpha[j]
+        hi_i = c - alpha[i] if pos[i] else alpha[i]
+        hi_j = alpha[j] if pos[j] else c - alpha[j]
         step = min(gap / quad, hi_i, hi_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        g -= y * step * (k[:, i] - k[:, j])
+        alpha[i] += step if pos[i] else -step
+        alpha[j] -= step if pos[j] else -step
+        update_sets(i)
+        update_sets(j)
+        np.subtract(cols[i], cols[j], out=col)
+        col *= step
+        yg -= col
     else:
-        logger.warning(
-            "SMO hit the %d pair-update cap; returning best iterate",
-            MAX_PAIR_UPDATES,
-        )
+        updates = cap
 
-    yg = y * g
-    up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
-    down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
-    b_up = yg[up].max() if up.any() else 0.0
-    b_low = yg[down].min() if down.any() else 0.0
+    i, j = select()
+    b_up = yg.item(i) if i is not None else 0.0
+    b_low = yg.item(j) if j is not None else 0.0
     bias = (b_up + b_low) / 2.0
+    final_gap = b_up - b_low if i is not None and j is not None else 0.0
+    if not converged:
+        logger.warning(
+            "SMO hit the %d pair-update cap (n=%d, kernel %s, gap %.3g, tol %g); "
+            "returning best iterate",
+            cap, n, kernel.name, final_gap, tol,
+        )
+    logger.debug(
+        "SMO n=%d kernel=%s pair_updates=%d gap=%.3g converged=%s",
+        n, kernel.name, updates, final_gap, converged,
+    )
 
+    alpha = np.array(alpha)
     sv = alpha > 1e-12
     return SvmModel(
         kernel=kernel,

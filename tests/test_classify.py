@@ -2,6 +2,7 @@
 Bayes against brute-force enumeration, neural-net gradients,
 thresholded labeling and model serialization."""
 
+import logging
 import math
 
 import numpy as np
@@ -46,6 +47,148 @@ def _max_kkt_violation(kernel, x, y, alpha, c):
     if not up.any() or not down.any():
         return 0.0
     return float(yg[up].max() - yg[down].min())
+
+
+def _per_update_smo(x, y, kernel, c, tol, max_updates):
+    """The solver loop that the offset-vector one replaced, kept as the
+    oracle: fresh up/down masks, flatnonzero and a gradient g on every
+    pair update. Returns alpha, bias, converged and the update count."""
+    k = kernel.matrix(x, x)
+    n = len(y)
+    alpha = np.zeros(n)
+    g = np.ones(n)
+    converged = False
+    updates = max_updates
+    for t in range(max_updates):
+        up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+        down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
+        if not up.any() or not down.any():
+            converged, updates = True, t
+            break
+        yg = y * g
+        i = int(np.flatnonzero(up)[np.argmax(yg[up])])
+        j = int(np.flatnonzero(down)[np.argmin(yg[down])])
+        gap = yg[i] - yg[j]
+        if gap <= tol:
+            converged, updates = True, t
+            break
+        quad = max(k[i, i] + k[j, j] - 2.0 * k[i, j], 1e-12)
+        hi_i = c - alpha[i] if y[i] > 0 else alpha[i]
+        hi_j = alpha[j] if y[j] > 0 else c - alpha[j]
+        step = min(gap / quad, hi_i, hi_j)
+        alpha[i] += y[i] * step
+        alpha[j] -= y[j] * step
+        g -= y * step * (k[:, i] - k[:, j])
+    yg = y * g
+    up = ((y > 0) & (alpha < c)) | ((y < 0) & (alpha > 0))
+    down = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < c))
+    b_up = yg[up].max() if up.any() else 0.0
+    b_low = yg[down].min() if down.any() else 0.0
+    return alpha, (b_up + b_low) / 2.0, converged, updates
+
+
+def _assert_matches_oracle(x, y, kernel, c, tol=1e-3):
+    """Bitwise equality with the oracle, at the cap svm reads now."""
+    model = svm.smo_train(x, y, kernel, c=c, tol=tol)
+    alpha, bias, converged, _ = _per_update_smo(x, y, kernel, c, tol, svm.MAX_PAIR_UPDATES)
+    np.testing.assert_array_equal(model.alpha, alpha)
+    assert model.bias == bias
+    assert model.converged == converged
+    sv = alpha > 1e-12
+    np.testing.assert_array_equal(model.support_vectors, x[sv])
+    np.testing.assert_array_equal(model.support_alpha_y, (alpha * y)[sv])
+    return model
+
+
+def _mixed_problem(seed, n, d):
+    """Topic-like proportions next to 0/1 follow columns, as the
+    classifiers see them; labels carry no signal."""
+    rng = np.random.default_rng(seed)
+    k = max(1, d // 3)
+    x = np.hstack([rng.dirichlet(np.ones(k), size=n), rng.random((n, d - k)) < 0.3])
+    y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    y[0], y[1] = -1.0, 1.0
+    return x.astype(np.float64), y
+
+
+class TestSmoMatchesPerUpdateOracle:
+    KERNELS = (
+        svm.Kernel("linear"),
+        svm.Kernel("poly", degree=3, coef=1.0),
+        svm.Kernel("rbf"),
+    )
+
+    def test_every_kernel_and_box_bound(self):
+        for trial, (kernel, c) in enumerate(
+            (kern, c) for kern in self.KERNELS for c in (0.5, 1.0, 10.0)
+        ):
+            n = (40, 120, 200)[trial % 3]
+            x, y = _mixed_problem(200 + trial, n, d=int(3 + trial * 3))
+            _assert_matches_oracle(x, y, kernel, c)
+
+    def test_rbf_gram_that_is_not_bit_symmetric(self):
+        x, y = _mixed_problem(31, 150, d=40)
+        kernel = svm.Kernel("rbf")
+        gram = kernel.matrix(x, x)
+        assert not np.array_equal(gram, gram.T)
+        _assert_matches_oracle(x, y, kernel, 1.0)
+
+    def test_duplicated_rows_tie_in_yg(self):
+        x, y = _mixed_problem(32, 60, d=12)
+        x = np.vstack([x, x, x[:20]])
+        y = np.concatenate([y, y, -y[:20]])
+        for kernel in self.KERNELS:
+            _assert_matches_oracle(x, y, kernel, 1.0)
+
+    def test_one_class_labels(self):
+        x, _ = _mixed_problem(33, 25, d=6)
+        for label in (1.0, -1.0):
+            model = _assert_matches_oracle(x, np.full(25, label), svm.Kernel("linear"), 1.0)
+            assert model.converged
+            assert model.bias == label / 2.0
+
+    def test_same_iterate_at_the_update_cap(self, monkeypatch):
+        x, y = _mixed_problem(34, 80, d=20)
+        for cap in (1, 2, 7):
+            monkeypatch.setattr(svm, "MAX_PAIR_UPDATES", cap)
+            for kernel in self.KERNELS:
+                model = _assert_matches_oracle(x, y, kernel, 1.0)
+                assert not model.converged
+
+
+class TestSmoReports:
+    def test_cap_warning_names_size_kernel_and_gap(self, monkeypatch, caplog):
+        monkeypatch.setattr(svm, "MAX_PAIR_UPDATES", 2)
+        x, y = _mixed_problem(35, 30, d=6)
+        with caplog.at_level(logging.WARNING, logger="polilean.svm"):
+            svm.smo_train(x, y, svm.Kernel("poly"), c=1.0)
+        (record,) = caplog.records
+        assert record.levelno == logging.WARNING
+        message = record.getMessage()
+        assert "2 pair-update cap" in message
+        assert "n=30" in message and "kernel poly" in message
+        gap = float(message.split("gap ")[1].split(",")[0])
+        assert gap > 1e-3
+
+    def test_one_debug_line_per_fit(self, caplog):
+        x, y = _mixed_problem(36, 50, d=9)
+        kernel = svm.Kernel("linear")
+        *_, updates = _per_update_smo(x, y, kernel, 1.0, 1e-3, svm.MAX_PAIR_UPDATES)
+        with caplog.at_level(logging.DEBUG, logger="polilean.svm"):
+            svm.smo_train(x, y, kernel, c=1.0)
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("SMO n=50 kernel=linear ")
+        assert f"pair_updates={updates} " in message
+        assert message.endswith("converged=True")
+        assert float(message.split("gap=")[1].split(" ")[0]) <= 1e-3
+
+    def test_converged_fit_is_silent_at_the_default_level(self, caplog):
+        x, y = _mixed_problem(37, 40, d=6)
+        with caplog.at_level(logging.WARNING, logger="polilean.svm"):
+            assert svm.smo_train(x, y, svm.Kernel("rbf"), c=1.0).converged
+        assert caplog.records == []
 
 
 class TestSmo:
@@ -317,6 +460,21 @@ class TestFamilyInterface:
         assert model.calibration is not None
         p = classify.predict(model, x)
         assert ((p > 0.5) == (y > 0)).all()
+
+    def test_empty_calibration_folds_train_nothing(self, monkeypatch):
+        # 6 rows in 10 folds: one fit per non-empty fold, one on all rows
+        x, y = _blobs(3, sep=4.0, seed=12)
+        fits = []
+        smo_train = svm.smo_train
+
+        def counting(*args, **kwargs):
+            fits.append(len(args[1]))
+            return smo_train(*args, **kwargs)
+
+        monkeypatch.setattr(svm, "smo_train", counting)
+        model = classify.train_svm(x, y, kernel="linear", calibration_folds=10, seed=0)
+        assert fits == [5] * 6 + [6]
+        assert model.calibration is not None
 
     def test_feature_width_validated(self):
         x, y = _blobs(10, seed=11)
