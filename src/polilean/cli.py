@@ -425,7 +425,8 @@ def _prediction_features(config, model_dir, dataset, docs, user_ids):
         tmodel = load_topic_model(
             os.path.join(model_dir, "topic_model.json"), os.path.join(model_dir, "topic_beta.csv")
         )
-        text = pipeline.fold_in_users(docs, user_ids, blocks.text, tmodel)
+        counts = pipeline.side_counts(docs, user_ids, blocks.text)
+        text = pipeline.fold_in_users(counts, tmodel)
     if blocks.net:
         with open(os.path.join(model_dir, "network_columns.json")) as fh:
             columns = json.load(fh)["columns"]

@@ -33,10 +33,9 @@ from .textprep import (
     SparseDFM,
     build_dfm,
     build_network_matrix,
-    build_ngrams,
+    ngram_strings,
     preprocess_tweet,
     tokenize,
-    trim_sparse,
 )
 from .topics import TopicModel, fit_topic_model, fold_in
 
@@ -92,6 +91,18 @@ class CorpusBundle:
     friends: dict[str, list[str]]
     lexicon: Lexicon
     documents: dict = field(default_factory=dict)
+    # side -> user -> that user's n-gram counts on the side, filled on
+    # first use so each document is counted once per corpus
+    counts: dict = field(default_factory=dict, repr=False)
+
+    def feature_counts(self, users: Sequence[str], which: str) -> dict[str, Counter]:
+        """The users' n-gram counts on one side (see side_counts), in
+        order.  The Counters are shared with later calls: read only."""
+        cache = self.counts.setdefault(which, {})
+        missing = [uid for uid in users if uid not in cache]
+        if missing:
+            cache.update(side_counts(self.documents, missing, which))
+        return {uid: cache[uid] for uid in users}
 
 
 def build_lexicon(tweets: Sequence[Tweet], cfg: PipelineConfig) -> Lexicon:
@@ -157,19 +168,20 @@ def user_feature_counts(
     stopwords: frozenset[str],
     orders: Sequence[int] = (1, 2, 3),
 ) -> Counter:
-    """Merge per-tweet n-gram multisets for one user document."""
+    """N-gram counts of one user document: every tweet's grams, merged
+    in tweet order."""
     counts: Counter = Counter()
     for text in tweet_texts:
-        stems = preprocess_tweet(text, stopwords)
-        counts.update(build_ngrams(stems, orders))
+        counts.update(ngram_strings(preprocess_tweet(text, stopwords), orders))
     return counts
 
 
-def _side_counts(
+def side_counts(
     documents: Mapping[str, UserDocument], users: Sequence[str], which: str
 ) -> dict[str, Counter]:
     """Each user's 1-3-gram counts over their political ("pol") or
-    non-political document."""
+    non-political document; a user's counts depend on that document
+    alone."""
     stopwords = resources.smart_stopwords()
     side = "political_tweets" if which == "pol" else "nonpolitical_tweets"
     return {uid: user_feature_counts(getattr(documents[uid], side), stopwords) for uid in users}
@@ -182,19 +194,17 @@ def build_text_dfm(
     trimmed at that side's sparsity; its columns become a topic model's
     vocabulary."""
     sparsity = cfg.sparsity_pol if which == "pol" else cfg.sparsity_nonpol
-    return trim_sparse(build_dfm(_side_counts(bundle.documents, users, which)), sparsity)
+    return build_dfm(bundle.feature_counts(users, which), sparsity)
 
 
 def fold_in_users(
-    documents: Mapping[str, UserDocument],
-    users: Sequence[str],
-    which: str,
-    model: TopicModel,
+    counts: Mapping[str, Counter], model: TopicModel
 ) -> tuple[np.ndarray, list[str]]:
     """Topic proportions of users the model was not fitted on, one row
-    per user in order, each computed from that user's document and the
-    model alone. Also returns the users with no in-vocabulary feature."""
-    dfm = project_features(_side_counts(documents, users, which), model.vocab)
+    per user of `counts` (see side_counts) in order, each computed from
+    that user's counts and the model alone. Also returns the users with
+    no in-vocabulary feature."""
+    dfm = project_features(counts, model.vocab)
     return fold_in(dfm, model), dfm.empty_rows()
 
 
@@ -302,7 +312,7 @@ def evaluate_sample(
         join(
             side,
             (fold_in(train_dfm, model), ()),
-            fold_in_users(bundle.documents, test, side, model),
+            fold_in_users(bundle.feature_counts(test, side), model),
         )
 
     metrics: dict[str, dict[str, dict[str, float]]] = {}

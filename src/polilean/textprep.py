@@ -2,15 +2,17 @@
 
 The feature pipeline is: tokenize each tweet, drop stopwords, stem,
 build 1/2/3-grams within the tweet, then accumulate per-user counts
-into a sparse matrix that can be trimmed by document frequency.
+into a sparse matrix of the features that survive the document-frequency
+trim.
 """
 
 import csv
 import json
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +21,7 @@ from .porter import stem as porter_stem
 
 __all__ = [
     "SparseDFM", "tokenize", "tokenize_matching", "porter_stem",
-    "remove_stopwords", "preprocess_tweet", "build_ngrams", "build_dfm",
+    "remove_stopwords", "preprocess_tweet", "ngram_strings", "build_ngrams", "build_dfm",
     "trim_sparse", "build_network_matrix",
     "save_dfm", "load_dfm",
 ]
@@ -46,6 +48,8 @@ class SparseDFM:
             raise ValueError("matrix shape does not match id lists")
         if len(set(self.row_ids)) != len(self.row_ids):
             raise ValueError("duplicate row ids")
+        if len(set(self.col_ids)) != len(self.col_ids):
+            raise ValueError("duplicate column ids")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -64,12 +68,12 @@ class SparseDFM:
         col_index = {f: j for j, f in enumerate(col_ids)}
         data, ii, jj = [], [], []
         for i, (_, row) in enumerate(zip(row_ids, rows, strict=True)):
-            for feat, value in row.items():
-                j = col_index.get(feat)
-                if j is not None:
-                    ii.append(i)
-                    jj.append(j)
-                    data.append(value)
+            # The order of a row's entries does not matter: the CSR
+            # conversion sorts each row's column indices.
+            shared = row.keys() & col_index.keys()
+            ii += [i] * len(shared)
+            jj += map(col_index.__getitem__, shared)
+            data += map(row.__getitem__, shared)
         matrix = sp.csr_matrix(
             (data, (ii, jj)), shape=(len(row_ids), len(col_ids)), dtype=np.float64
         )
@@ -107,42 +111,63 @@ def preprocess_tweet(text: str, stopwords: frozenset[str]) -> list[str]:
     return [porter_stem(t) for t in remove_stopwords(tokenize(text), stopwords)]
 
 
-def build_ngrams(stems: Sequence[str], orders: Iterable[int] = (1, 2, 3)) -> Counter:
-    """Multiset of n-grams over one tweet, joined with "_".
+def ngram_strings(stems: Sequence[str], orders: Iterable[int] = (1, 2, 3)) -> Iterator[str]:
+    """One tweet's n-grams joined with "_": every gram of the first
+    order in position order, then the next order's.
 
     Callers must invoke this per tweet: grams never cross tweet
     boundaries because each call only sees a single tweet's stems.
+    The grams are produced at C speed, so `Counter.update` on the
+    result counts them without a Python-level step per gram.
     """
-    grams: Counter = Counter()
-    for n in orders:
-        for i in range(len(stems) - n + 1):
-            grams["_".join(stems[i : i + n])] += 1
-    return grams
+    return chain.from_iterable(
+        stems if n == 1 else map("_".join, zip(*(stems[i:] for i in range(n))))
+        for n in orders
+    )
 
 
-def build_dfm(docs: Mapping[str, Counter], kind: str = "text") -> SparseDFM:
-    """Stack per-user feature multisets into a sparse count matrix.
-
-    Rows follow the mapping's order; columns are sorted for determinism.
-    """
-    if not docs:
-        raise ValueError("no documents")
-    row_ids = tuple(docs)
-    vocab = sorted(set().union(*(docs[u].keys() for u in row_ids)))
-    return SparseDFM.from_rows(row_ids, (docs[u] for u in row_ids), vocab, kind)
+def build_ngrams(stems: Sequence[str], orders: Iterable[int] = (1, 2, 3)) -> Counter:
+    """Multiset of n-grams over one tweet (see ngram_strings)."""
+    return Counter(ngram_strings(stems, orders))
 
 
-def trim_sparse(dfm: SparseDFM, sparsity: float) -> SparseDFM:
-    """Drop features whose document-frequency proportion is <= 1 - sparsity."""
+def _kept(doc_freq: np.ndarray, n_docs: int, sparsity: float) -> np.ndarray:
+    """Indices of the features whose document-frequency proportion is
+    above 1 - sparsity; an error when there is none."""
     if not 0.0 < sparsity <= 1.0:
         raise ValueError(f"sparsity must be in (0, 1], got {sparsity}")
-    n_docs = dfm.shape[0]
-    doc_freq = np.asarray((dfm.matrix != 0).sum(axis=0)).ravel()
     keep = np.flatnonzero(doc_freq / n_docs > 1.0 - sparsity)
     if keep.size == 0:
         raise ValueError(
             "sparsity trim removed every feature; lower the sparsity parameter"
         )
+    return keep
+
+
+def build_dfm(docs: Mapping[str, Counter], sparsity: float, kind: str = "text") -> SparseDFM:
+    """Stack per-user feature multisets into a sparse count matrix of
+    the features trim_sparse(·, sparsity) would keep.
+
+    Only the kept columns are built: a feature's document frequency is
+    the number of users whose count for it is nonzero.  Rows follow the
+    mapping's order; columns are sorted for determinism.
+    """
+    if not docs:
+        raise ValueError("no documents")
+    doc_freq: Counter = Counter()
+    for counts in docs.values():
+        doc_freq.update(counts.keys() if 0 not in counts.values()
+                        else (f for f, v in counts.items() if v))
+    feats = list(doc_freq)
+    keep = _kept(np.fromiter(doc_freq.values(), np.int64, len(feats)), len(docs), sparsity)
+    vocab = sorted(feats[j] for j in keep)
+    return SparseDFM.from_rows(tuple(docs), docs.values(), vocab, kind)
+
+
+def trim_sparse(dfm: SparseDFM, sparsity: float) -> SparseDFM:
+    """Drop features whose document-frequency proportion is <= 1 - sparsity."""
+    doc_freq = np.asarray((dfm.matrix != 0).sum(axis=0)).ravel()
+    keep = _kept(doc_freq, dfm.shape[0], sparsity)
     trimmed = sp.csr_matrix(dfm.matrix[:, keep])
     col_ids = tuple(dfm.col_ids[j] for j in keep)
     return SparseDFM(trimmed, dfm.row_ids, col_ids, dfm.kind)

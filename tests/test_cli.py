@@ -636,3 +636,19 @@ class TestStageErrors:
             })
         assert code == 1
         assert "inside and outside election windows" in caplog.text
+
+    def test_repeated_network_column_is_refused(self, work, trained, tmp_path):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained, bundle)
+        with open(bundle / "network_columns.json") as fh:
+            columns = json.load(fh)["columns"]
+        # same width as the classifier expects, so only the repeat is wrong
+        (bundle / "network_columns.json").write_text(
+            json.dumps({"columns": columns[:-1] + columns[:1]})
+        )
+        out = tmp_path / "p"
+        assert _run(tmp_path, "predict", {
+            "tweets": work["tweets"], "friends": work["friends"],
+            "model_dir": str(bundle), "out": str(out),
+        }) == 1
+        assert not os.path.exists(out / "predictions.csv")

@@ -1,13 +1,16 @@
 """End-to-end orchestration on a small synthetic corpus."""
 
 import dataclasses
+import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from polilean import pipeline
+from polilean import cli, pipeline
 from polilean.resources import smart_stopwords
 from polilean.synthgen import SynthSpec, generate
+from polilean.textprep import build_ngrams, preprocess_tweet
 
 TINY = SynthSpec(
     n_users=60,
@@ -63,6 +66,132 @@ class TestFeatureCounts:
             ["alpha beta gamma"], frozenset(), orders=(1,)
         )
         assert all("_" not in feat for feat in counts)
+
+
+def _parent_build_ngrams(stems, orders):
+    """build_ngrams before it counted at C speed, kept as the oracle."""
+    grams = Counter()
+    for n in orders:
+        for i in range(len(stems) - n + 1):
+            grams["_".join(stems[i : i + n])] += 1
+    return grams
+
+
+def _parent_user_feature_counts(tweet_texts, stopwords, orders):
+    """The per-tweet Counter merge before the C-speed counting."""
+    counts = Counter()
+    for text in tweet_texts:
+        counts.update(_parent_build_ngrams(preprocess_tweet(text, stopwords), orders))
+    return counts
+
+
+class TestFeatureCountsMatchOracle:
+    """Same grams, same counts and the same insertion order as the
+    parent's per-tweet merge, so every later step sees the same Counter."""
+
+    WORDS = ("vote", "voting", "the", "a", "match", "goal", "goals", "red", "card",
+             "again", "run", "runner", "running", "of", "and")
+
+    def _tweets(self, rng, n):
+        tweets = []
+        for _ in range(n):
+            words = list(rng.choice(self.WORDS, size=int(rng.integers(0, 12))))
+            if rng.random() < 0.2:
+                words.insert(0, "https://example.com/x?y=1")
+            if rng.random() < 0.2:
+                words.append("2-0!")
+            tweets.append(" ".join(words))
+        return tweets + ["", "the and of", "solo"]
+
+    @pytest.mark.parametrize("orders", [(1, 2, 3), (1,), (2, 3), (3, 1)])
+    def test_items_and_order_match(self, orders):
+        rng = np.random.default_rng(len(orders) * 10 + orders[0])
+        stopwords = smart_stopwords()
+        for _ in range(20):
+            tweets = self._tweets(rng, int(rng.integers(0, 15)))
+            got = pipeline.user_feature_counts(tweets, stopwords, orders)
+            want = _parent_user_feature_counts(tweets, stopwords, orders)
+            assert list(got.items()) == list(want.items())
+            for text in tweets[:5]:
+                stems = preprocess_tweet(text, stopwords)
+                assert list(build_ngrams(stems, orders).items()) == list(
+                    _parent_build_ngrams(stems, orders).items())
+
+    def test_empty_document(self):
+        assert pipeline.user_feature_counts([], frozenset()) == Counter()
+        assert pipeline.user_feature_counts(["", "the"], frozenset({"the"})) == Counter()
+
+
+class _CountCalls:
+    """Wraps user_feature_counts and names each call's (side, user) by
+    the identity of the document's tweet tuple."""
+
+    def __init__(self, monkeypatch):
+        self.texts = []
+        real = pipeline.user_feature_counts
+
+        def counting(tweet_texts, *args, **kwargs):
+            self.texts.append(tweet_texts)
+            return real(tweet_texts, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "user_feature_counts", counting)
+
+    def per_document(self, bundle) -> Counter:
+        owner = {}
+        for uid, doc in bundle.documents.items():
+            for side in ("political_tweets", "nonpolitical_tweets"):
+                texts = getattr(doc, side)
+                assert texts, "empty documents share one tuple and cannot be told apart"
+                owner[id(texts)] = (side, uid)
+        calls = Counter(owner[id(t)] for t in self.texts)
+        assert sum(calls.values()) == len(self.texts)
+        return calls
+
+
+class TestCountOncePerCorpus:
+    def test_resampling_counts_each_document_once(self, corpus, monkeypatch):
+        calls = _CountCalls(monkeypatch)
+        cfg = dataclasses.replace(
+            TINY_CFG, n_samples=3, datasets=("pol", "non-pol"), families=("NB",)
+        )
+        report = pipeline.run_pipeline(
+            corpus.tweets_path, corpus.vaa_path, corpus.friends_path, cfg
+        )
+        per_doc = calls.per_document(report["_bundle"])
+        sampled = set()
+        for s in report["_sample_objects"]:
+            sampled |= set(s.split[0]) | set(s.split[1])
+        assert set(per_doc.values()) == {1}
+        assert set(per_doc) == {
+            (side, uid)
+            for side in ("political_tweets", "nonpolitical_tweets")
+            for uid in sampled
+        }
+        # three balanced samples reuse users, or the cache saves nothing
+        n_rows = sum(len(s.split[0]) + len(s.split[1]) for s in report["_sample_objects"])
+        assert n_rows > len(sampled)
+
+    def test_dfm_command_counts_each_user_once_per_side(self, corpus, monkeypatch, tmp_path):
+        calls = _CountCalls(monkeypatch)
+        bundles = []
+        load = pipeline.load_corpus
+
+        def loading(*args, **kwargs):
+            bundles.append(load(*args, **kwargs))
+            return bundles[-1]
+
+        monkeypatch.setattr(pipeline, "load_corpus", loading)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "tweets": str(corpus.tweets_path), "vaa": str(corpus.vaa_path),
+            "out": str(tmp_path / "dfm"), "k": 3, "min_tweets": 10,
+            "min_lexicon_tweets": 40,
+        }))
+        assert cli.main(["dfm", "--config", str(config)]) == 0
+        (bundle,) = bundles
+        per_doc = calls.per_document(bundle)
+        assert set(per_doc.values()) == {1}
+        assert len(per_doc) == 2 * len(bundle.labels)
 
 
 class TestLoadCorpus:

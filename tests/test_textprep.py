@@ -103,7 +103,7 @@ class TestNgrams:
 class TestBuildDfm:
     def test_rows_follow_mapping_order_columns_sorted(self):
         docs = {"u2": Counter({"b": 2, "a": 1}), "u0": Counter(), "u1": Counter({"c": 3})}
-        dfm = build_dfm(docs)
+        dfm = build_dfm(docs, sparsity=1.0)
         assert dfm.row_ids == ("u2", "u0", "u1")
         assert dfm.col_ids == ("a", "b", "c")
         assert np.array_equal(
@@ -113,7 +113,7 @@ class TestBuildDfm:
 
     def test_empty_mapping_rejected(self):
         with pytest.raises(ValueError):
-            build_dfm({})
+            build_dfm({}, sparsity=1.0)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -127,6 +127,93 @@ class TestBuildDfm:
         with pytest.raises(ValueError, match="duplicate row ids"):
             SparseDFM.from_rows(("a", "a"), [{"x": 1}, {"x": 2}], ("x",))
 
+    def test_duplicate_columns_rejected(self):
+        # a repeated column would take every count of its name, leaving
+        # the earlier copy zero and the rows misaligned to the model
+        with pytest.raises(ValueError, match="duplicate column ids"):
+            SparseDFM(sp.csr_matrix((1, 2)), ("a",), ("x", "x"))
+        with pytest.raises(ValueError, match="duplicate column ids"):
+            SparseDFM.from_rows(("a",), [{"x": 1, "y": 2}], ("x", "y", "x"))
+        with pytest.raises(ValueError, match="duplicate column ids"):
+            align_network({"u1": ["x", "y"]}, ["u1"], ["x", "y", "x"])
+
+    def test_sparsity_trims_before_the_matrix_is_built(self):
+        docs = {"u1": Counter({"common": 1, "rare": 1}), "u2": Counter({"common": 2})}
+        assert build_dfm(docs, sparsity=0.5).col_ids == ("common",)
+        assert build_dfm(docs, sparsity=0.51).col_ids == ("common", "rare")
+        with pytest.raises(ValueError, match="sparsity must be in"):
+            build_dfm(docs, sparsity=0.0)
+
+
+def _parent_untrimmed_dfm(docs, kind="text"):
+    """The untrimmed build_dfm and the per-item from_rows loop before
+    the trim moved ahead of the matrix build, kept as the oracle."""
+    row_ids = tuple(docs)
+    vocab = sorted(set().union(*(docs[u].keys() for u in row_ids)))
+    col_index = {f: j for j, f in enumerate(vocab)}
+    data, ii, jj = [], [], []
+    for i, (_, row) in enumerate(zip(row_ids, (docs[u] for u in row_ids), strict=True)):
+        for feat, value in row.items():
+            j = col_index.get(feat)
+            if j is not None:
+                ii.append(i)
+                jj.append(j)
+                data.append(value)
+    matrix = sp.csr_matrix(
+        (data, (ii, jj)), shape=(len(row_ids), len(vocab)), dtype=np.float64
+    )
+    return SparseDFM(matrix, row_ids, tuple(vocab), kind)
+
+
+class TestBuildDfmMatchesTrimOracle:
+    """build_dfm(docs, s) is the parent's untrimmed build_dfm followed by
+    trim_sparse(·, s), bit for bit."""
+
+    @staticmethod
+    def _docs(rng, n_users=40, n_feats=80):
+        feats = [f"f{j:02d}" + ("_x" * (j % 3)) for j in range(n_feats)]
+        # a few features almost everyone has, so every sparsity keeps some
+        weights = np.linspace(0.02, 0.98, n_feats)
+        docs = {}
+        for i in rng.permutation(n_users):
+            has = rng.random(n_feats) < weights
+            chosen = [feats[j] for j in rng.permutation(np.flatnonzero(has))]
+            docs[f"u{i:03d}"] = Counter(
+                {f: int(rng.integers(1, 6)) for f in chosen}
+            )
+        docs["u_empty"] = Counter()
+        # explicit zero counts: they add a column to the untrimmed matrix
+        # but no document frequency
+        docs["u_zero"] = Counter({feats[0]: 0, feats[-1]: 0, feats[-2]: 3})
+        docs["u_float"] = Counter({feats[-1]: 2.5, feats[-3]: 1})
+        return docs
+
+    @pytest.mark.parametrize("sparsity", [0.5, 0.8, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_equal(self, sparsity, seed):
+        docs = self._docs(np.random.default_rng(seed))
+        want = trim_sparse(_parent_untrimmed_dfm(docs), sparsity)
+        got = build_dfm(docs, sparsity)
+        assert got.row_ids == want.row_ids
+        assert got.col_ids == want.col_ids
+        assert got.kind == want.kind
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_zero_count_is_no_document(self):
+        docs = {"u1": Counter({"a": 0, "b": 1}), "u2": Counter({"b": 1})}
+        got = build_dfm(docs, 1.0)
+        assert got.col_ids == trim_sparse(_parent_untrimmed_dfm(docs), 1.0).col_ids == ("b",)
+
+    def test_everything_trimmed_is_the_same_error(self):
+        docs = {f"u{i}": Counter({f"w{i}": 1, "zero": 0}) for i in range(100)}
+        with pytest.raises(ValueError, match="removed every feature") as new:
+            build_dfm(docs, 0.5)
+        with pytest.raises(ValueError, match="removed every feature") as old:
+            trim_sparse(_parent_untrimmed_dfm(docs), 0.5)
+        assert str(new.value) == str(old.value)
+
 
 class TestTrimSparse:
     def _dfm(self):
@@ -136,7 +223,7 @@ class TestTrimSparse:
             "u3": Counter({"common": 2}),
             "u4": Counter({"common": 1}),
         }
-        return build_dfm(docs)
+        return build_dfm(docs, sparsity=1.0)
 
     def test_boundary_is_strict(self):
         # "rare" sits in 1 of 4 docs = 0.25; kept only when 1 - sparsity
@@ -154,7 +241,7 @@ class TestTrimSparse:
     def test_all_features_dropped_is_an_error(self):
         docs = {f"u{i}": Counter({f"w{i}": 1}) for i in range(100)}
         with pytest.raises(ValueError, match="removed every feature"):
-            trim_sparse(build_dfm(docs), 0.5)
+            trim_sparse(build_dfm(docs, sparsity=1.0), 0.5)
 
     def test_sparsity_validation(self):
         dfm = self._dfm()
@@ -226,7 +313,7 @@ class TestJoinFeatures:
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
         docs = {"u1": Counter({"a": 2, "b": 1}), "u2": Counter({"b": 4})}
-        dfm = build_dfm(docs)
+        dfm = build_dfm(docs, sparsity=1.0)
         triplet, header = tmp_path / "m.csv", tmp_path / "m.json"
         save_dfm(dfm, triplet, header)
         back = load_dfm(triplet, header)
@@ -237,13 +324,13 @@ class TestSaveLoad:
 
     def test_save_is_deterministic(self, tmp_path):
         docs = {"u1": Counter({"a": 2.5, "b": 1}), "u2": Counter({"b": 4})}
-        dfm = build_dfm(docs)
+        dfm = build_dfm(docs, sparsity=1.0)
         save_dfm(dfm, tmp_path / "1.csv", tmp_path / "1.json")
         save_dfm(dfm, tmp_path / "2.csv", tmp_path / "2.json")
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
         assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
     def test_integer_counts_written_without_decimal(self, tmp_path):
-        dfm = build_dfm({"u": Counter({"a": 3})})
+        dfm = build_dfm({"u": Counter({"a": 3})}, sparsity=1.0)
         save_dfm(dfm, tmp_path / "m.csv", tmp_path / "m.json")
         assert "u,a,3\n" in (tmp_path / "m.csv").read_text()
