@@ -76,25 +76,14 @@ def train_nb(x, y, binary_mask) -> ClassifierModel:
 
     cont = x[:, ~binary_mask]
     binary = x[:, binary_mask]
-    gauss_mean = np.vstack([cont[m].mean(axis=0) for m in classes]) if cont.shape[1] else np.zeros((2, 0))
-    gauss_var = (
-        np.vstack([np.clip(cont[m].var(axis=0), 1e-9, None) for m in classes])
-        if cont.shape[1]
-        else np.zeros((2, 0))
-    )
-    if binary.shape[1]:
-        p1 = np.vstack(
-            [(binary[m].sum(axis=0) + 1.0) / (m.sum() + 2.0) for m in classes]
-        )
-    else:
-        p1 = np.zeros((2, 0))
+    p1 = np.vstack([(binary[m].sum(axis=0) + 1.0) / (m.sum() + 2.0) for m in classes])
     inner = NbModel(
         log_prior=log_prior,
         binary_mask=binary_mask,
-        gauss_mean=gauss_mean,
-        gauss_var=gauss_var,
-        bern_logp1=np.log(p1) if p1.size else p1,
-        bern_logp0=np.log(1.0 - p1) if p1.size else p1,
+        gauss_mean=np.vstack([cont[m].mean(axis=0) for m in classes]),
+        gauss_var=np.vstack([np.clip(cont[m].var(axis=0), 1e-9, None) for m in classes]),
+        bern_logp1=np.log(p1),
+        bern_logp0=np.log(1.0 - p1),
     )
     return ClassifierModel("NB", x.shape[1], inner)
 
@@ -104,16 +93,14 @@ def _nb_log_joint(model: NbModel, x: np.ndarray) -> np.ndarray:
     binary = x[:, model.binary_mask]
     joint = np.tile(model.log_prior, (x.shape[0], 1))
     for c in (0, 1):
-        if cont.shape[1]:
-            var = model.gauss_var[c]
-            joint[:, c] += (
-                -0.5 * np.log(2.0 * np.pi * var)
-                - 0.5 * (cont - model.gauss_mean[c]) ** 2 / var
-            ).sum(axis=1)
-        if binary.shape[1]:
-            joint[:, c] += (
-                binary * model.bern_logp1[c] + (1.0 - binary) * model.bern_logp0[c]
-            ).sum(axis=1)
+        var = model.gauss_var[c]
+        joint[:, c] += (
+            -0.5 * np.log(2.0 * np.pi * var)
+            - 0.5 * (cont - model.gauss_mean[c]) ** 2 / var
+        ).sum(axis=1)
+        joint[:, c] += (
+            binary * model.bern_logp1[c] + (1.0 - binary) * model.bern_logp0[c]
+        ).sum(axis=1)
     return joint
 
 

@@ -54,18 +54,22 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _write_json(path, obj) -> None:
+    """Write obj as key-sorted, indented JSON: the one format of every
+    JSON artifact, which keeps same-seed reruns byte-identical."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, subcommand, config, inputs, outputs) -> None:
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "subcommand": subcommand,
         "version": __version__,
         "config": config,
         "inputs": {os.path.basename(p): _sha256(p) for p in inputs},
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def _load_config(args, required_paths=()) -> dict:
@@ -78,12 +82,17 @@ def _load_config(args, required_paths=()) -> dict:
                 config = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"field 'config': invalid JSON ({exc})") from None
+        if not isinstance(config, dict):
+            raise ConfigError(f"field 'config': must be a JSON object, not {type(config).__name__}")
     for key, value in vars(args).items():
         if key == "config" or value is None:
             continue
         config[key] = value
     if "out" not in config:
         raise ConfigError("field 'out': required but missing")
+    tau = config.get("tau", 0.5)
+    if not (isinstance(tau, (int, float)) and 0.5 <= tau <= 1.0):
+        raise ConfigError(f"field 'tau': must be a number in [0.5, 1], got {tau!r}")
     for key in required_paths:
         if key not in config:
             raise ConfigError(f"field '{key}': required but missing")
@@ -108,18 +117,35 @@ CONFIG_FIELDS = {
 }
 
 
-def _pipeline_config(config) -> pipeline.PipelineConfig:
-    values = {field: config[key] for key, field in CONFIG_FIELDS.items() if key in config}
-    for field in ("datasets", "families"):
+# config key -> SynthSpec field, as CONFIG_FIELDS
+SYNTH_FIELDS = {
+    "n_users": "n_users", "class_ratio": "class_ratio", "k": "k_topics",
+    "vocab_size": "vocab_size", "delta": "class_topic_shift",
+    "political_fraction": "political_lexicon_fraction", "homophily": "network_homophily",
+    "tweets_per_user": "tweets_per_user", "seed": "seed",
+}
+
+
+def _fields(config, keys, tuple_fields) -> dict:
+    """The fields that config sets through the key -> field map keys, with
+    tuple_fields as tuples; a field whose key is absent keeps its default."""
+    values = {field: config[key] for key, field in keys.items() if key in config}
+    for field in tuple_fields:
         if field in values:
             values[field] = tuple(values[field])
-    cfg = pipeline.PipelineConfig(**values)
+    return values
+
+
+def _pipeline_config(config) -> pipeline.PipelineConfig:
+    cfg = pipeline.PipelineConfig(**_fields(config, CONFIG_FIELDS, ("datasets", "families")))
     for d in cfg.datasets:
         if d not in pipeline.DATASETS:
             raise ConfigError(f"field 'datasets': unknown dataset {d!r}")
     for fam in cfg.families:
         if fam not in classify.FAMILIES:
             raise ConfigError(f"field 'families': unknown family {fam!r}")
+    if cfg.n_samples < 1:
+        raise ConfigError(f"field 'n_samples': must be at least 1, got {cfg.n_samples!r}")
     return cfg
 
 
@@ -133,17 +159,7 @@ def _inputs(config, *keys) -> list[str]:
 
 
 def cmd_synth(config, out):
-    spec = SynthSpec(
-        n_users=config.get("n_users", 800),
-        class_ratio=config.get("class_ratio", 0.5),
-        k_topics=config.get("k", 10),
-        vocab_size=config.get("vocab_size", 2000),
-        class_topic_shift=config.get("delta", 0.3),
-        political_lexicon_fraction=config.get("political_fraction", 0.01),
-        network_homophily=config.get("homophily", 0.8),
-        tweets_per_user=tuple(config.get("tweets_per_user", (120, 200))),
-        seed=config.get("seed", 0),
-    )
+    spec = SynthSpec(**_fields(config, SYNTH_FIELDS, ("tweets_per_user",)))
     try:
         spec.validate()
     except ValueError as exc:
@@ -165,17 +181,12 @@ def cmd_ingest(config, out):
                 r = records[uid]
                 fh.write(f"{uid},{r.normalized_score!r},{r.label}\n")
     summary_path = os.path.join(out, "ingest_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(
-            {
-                "n_tweets": len(tweets),
-                "n_users_raw": n_users_raw,
-                "n_users_kept": len(kept),
-                "n_labeled": len(records),
-            },
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
+    _write_json(summary_path, {
+        "n_tweets": len(tweets),
+        "n_users_raw": n_users_raw,
+        "n_users_kept": len(kept),
+        "n_labeled": len(records),
+    })
     print(f"kept {len(kept)} of {n_users_raw} users; labels at {labels_path}")
     return [config["tweets"], config["vaa"]], [labels_path, summary_path]
 
@@ -255,35 +266,20 @@ def cmd_train(config, out):
     bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
     sample = pipeline.evaluate_sample(bundle, cfg, cfg.seed)
 
-    model_path = os.path.join(out, "classifier.json")
-    classify.save_model(sample.models[(dataset, family)], model_path)
-    outputs = [model_path]
-    lex_path = os.path.join(out, "lexicon.json")
-    bundle.lexicon.save(lex_path)
-    outputs.append(lex_path)
-    if blocks.text:
-        tm_header = os.path.join(out, "topic_model.json")
-        tm_beta = os.path.join(out, "topic_beta.csv")
-        save_topic_model(sample.topic_models[blocks.text], tm_header, tm_beta)
-        outputs += [tm_header, tm_beta]
-    if blocks.net:
-        net_path = os.path.join(out, "network_columns.json")
-        with open(net_path, "w") as fh:
-            json.dump({"columns": list(sample.network_columns)}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        outputs.append(net_path)
-    meta_path = os.path.join(out, "train_meta.json")
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {"dataset": dataset, "family": family, "metrics": sample.metrics[dataset][family],
-             "seed": cfg.seed, "tau": cfg.tau},
-            fh, sort_keys=True, indent=2,
-        )
-        fh.write("\n")
-    outputs.append(meta_path)
     m = sample.metrics[dataset][family]
+    paths = _bundle_paths(out, blocks)
+    classify.save_model(sample.models[(dataset, family)], paths["classifier.json"])
+    bundle.lexicon.save(paths["lexicon.json"])
+    _write_json(paths["train_meta.json"], {
+        "dataset": dataset, "family": family, "metrics": m, "seed": cfg.seed, "tau": cfg.tau,
+    })
+    if blocks.text:
+        save_topic_model(sample.topic_models[blocks.text],
+                         paths["topic_model.json"], paths["topic_beta.csv"])
+    if blocks.net:
+        _write_json(paths["network_columns.json"], {"columns": list(sample.network_columns)})
     print(f"{dataset}/{family}: F1={m['f1']:.3f} P={m['precision']:.3f} R={m['recall']:.3f}")
-    return _inputs(config, "tweets", "vaa"), outputs
+    return _inputs(config, "tweets", "vaa"), list(paths.values())
 
 
 def cmd_eval(config, out):
@@ -297,9 +293,7 @@ def cmd_eval(config, out):
     samples = report.pop("_sample_objects")
 
     report_path = os.path.join(out, "eval_report.json")
-    with open(report_path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report)
     csv_path = os.path.join(out, "eval_report.csv")
     with open(csv_path, "w") as fh:
         fh.write("dataset,family,f1,precision,recall,unknown\n")
@@ -313,19 +307,18 @@ def cmd_eval(config, out):
 
     # post-hoc diagnostics on the first sample, when features allow
     first = samples[0]
-    diag = {}
     if ("non-pol+net", "SVM_poly") in first.models:
         x_tr, users_tr, x_te, users_te = first.features["non-pol+net"]
         model = first.models[("non-pol+net", "SVM_poly")]
-        p = classify.predict(model, x_te)
-        rows = evaluation.threshold_table(p, [bundle.labels[u] for u in users_te])
+        truth = [bundle.labels[u] for u in users_te]
+        rows = evaluation.threshold_table(classify.predict(model, x_te), truth)
         thr_path = os.path.join(out, "threshold_table.csv")
         evaluation.write_threshold_csv(thr_path, rows)
         outputs.append(thr_path)
         k = first.topic_models["nonpol"].k
         names = [f"topic_{i}" for i in range(k)] + list(first.network_columns)
         ranked = evaluation.permutation_importance(
-            model, x_te, [bundle.labels[u] for u in users_te], names, repeats=5, seed=cfg.seed
+            model, x_te, truth, names, repeats=5, seed=cfg.seed
         )
         imp_path = os.path.join(out, "feature_importance.csv")
         with open(imp_path, "w") as fh:
@@ -349,12 +342,10 @@ def cmd_eval(config, out):
             activity.append(evaluation.activity_index(doc))
             extremity.append(abs(bundle.scores[uid]))
     if len(activity) >= 3 and np.std(activity) > 0 and np.std(extremity) > 0:
-        diag["pearson_activity_vs_extremity"] = evaluation.pearson(activity, extremity)
-    if diag:
         diag_path = os.path.join(out, "diagnostics.json")
-        with open(diag_path, "w") as fh:
-            json.dump(diag, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(diag_path, {
+            "pearson_activity_vs_extremity": evaluation.pearson(activity, extremity)
+        })
         outputs.append(diag_path)
 
     for dataset, fams in sorted(report["mean"].items()):
@@ -373,44 +364,49 @@ def cmd_predict(config, out):
     return _inputs(config, "tweets") + bundle_files, [pred_path]
 
 
+def _bundle_paths(model_dir, blocks) -> dict[str, str]:
+    """Name -> path of each file of a model bundle for a dataset of these
+    blocks: the three every bundle holds, then the topic model of a text
+    block and the account columns of a network block."""
+    names = ["classifier.json", "lexicon.json", "train_meta.json"]
+    if blocks.text:
+        names += ["topic_model.json", "topic_beta.csv"]
+    if blocks.net:
+        names.append("network_columns.json")
+    return {name: os.path.join(model_dir, name) for name in names}
+
+
 def _bundle_meta(config) -> tuple[dict, list[str]]:
     """Check the bundle that `train` saved under model_dir. Return its
     train_meta.json, whose dataset decides the features, and the paths of
     every bundle file that dataset reads."""
-    model_dir = config["model_dir"]
 
-    def required(*names):
-        paths = [os.path.join(model_dir, name) for name in names]
-        for name, path in zip(names, paths):
+    def required(blocks):
+        paths = _bundle_paths(config["model_dir"], blocks)
+        for name, path in paths.items():
             if not os.path.exists(path):
                 raise ConfigError(f"field 'model_dir': missing {name}")
         return paths
 
-    files = required("classifier.json", "lexicon.json", "train_meta.json")
-    with open(files[-1]) as fh:
+    with open(required(pipeline.Blocks(None, False))["train_meta.json"]) as fh:
         meta = json.load(fh)
     if meta.get("dataset") not in pipeline.DATASETS:
         raise ConfigError(
             f"field 'model_dir': unknown dataset {meta.get('dataset')!r} in train_meta.json"
         )
-    blocks = pipeline.DATASETS[meta["dataset"]]
-    if blocks.text:
-        files += required("topic_model.json", "topic_beta.csv")
-    if blocks.net:
-        files += required("network_columns.json")
-    return meta, files
+    return meta, list(required(pipeline.DATASETS[meta["dataset"]]).values())
 
 
 def _predict_users(config, meta, users, tau) -> list[classify.Prediction]:
     """Classify grouped users with the saved bundle, on the dataset it
     was trained on."""
-    model_dir = config["model_dir"]
-    model = classify.load_model(os.path.join(model_dir, "classifier.json"))
-    lexicon = Lexicon.load(os.path.join(model_dir, "lexicon.json"))
+    paths = _bundle_paths(config["model_dir"], pipeline.DATASETS[meta["dataset"]])
+    model = classify.load_model(paths["classifier.json"])
+    lexicon = Lexicon.load(paths["lexicon.json"])
     docs = {uid: assemble_documents(u, lexicon) for uid, u in users.items()}
     user_ids = sorted(docs)
     features, unknown_users = _prediction_features(
-        config, model_dir, meta["dataset"], docs, user_ids
+        config, config["model_dir"], meta["dataset"], docs, user_ids
     )
     return newsstudy.classify_sharers(features, user_ids, model, tau, unknown_users)
 
@@ -420,15 +416,14 @@ def _prediction_features(config, model_dir, dataset, docs, user_ids):
     evaluation builds test users' rows, and the users to label Unknown
     (see pipeline.join_features)."""
     blocks = pipeline.DATASETS[dataset]
+    paths = _bundle_paths(model_dir, blocks)
     text = net = None
     if blocks.text:
-        tmodel = load_topic_model(
-            os.path.join(model_dir, "topic_model.json"), os.path.join(model_dir, "topic_beta.csv")
-        )
+        tmodel = load_topic_model(paths["topic_model.json"], paths["topic_beta.csv"])
         counts = pipeline.side_counts(docs, user_ids, blocks.text)
         text = pipeline.fold_in_users(counts, tmodel)
     if blocks.net:
-        with open(os.path.join(model_dir, "network_columns.json")) as fh:
+        with open(paths["network_columns.json"]) as fh:
             columns = json.load(fh)["columns"]
         friends = load_friends(config["friends"]) if config.get("friends") else {}
         net = pipeline.align_network(friends, user_ids, columns)
@@ -461,29 +456,57 @@ def cmd_newsstudy(config, out):
     return _inputs(config, "shares", "tweets") + bundle_files, [table_path, pred_path]
 
 
-# subcommand -> (function, config keys naming input files that must exist)
+# subcommand -> (function, help, config keys naming input files that
+# must exist, other flags); each key in the last two is a flag of FLAGS
 COMMANDS = {
-    "synth": (cmd_synth, ()),
-    "ingest": (cmd_ingest, ("tweets", "vaa")),
-    "lexicon": (cmd_lexicon, ("tweets",)),
-    "dfm": (cmd_dfm, ("tweets", "vaa")),
-    "topics": (cmd_topics, ("tweets", "vaa")),
-    "train": (cmd_train, ("tweets", "vaa")),
-    "eval": (cmd_eval, ("tweets", "vaa")),
-    "predict": (cmd_predict, ("tweets", "model_dir")),
-    "newsstudy": (cmd_newsstudy, ("shares", "tweets", "model_dir")),
+    "synth": (cmd_synth, "generate a synthetic corpus with planted truth", (),
+              ("n_users", "k", "vocab_size", "delta", "homophily", "class_ratio",
+               "political_fraction")),
+    "ingest": (cmd_ingest, "load tweets + VAA, filter users, emit labels", ("tweets", "vaa"),
+               ("min_english", "min_tweets")),
+    "lexicon": (cmd_lexicon, "induce the political lexicon", ("tweets",),
+                ("threshold", "min_lexicon_tweets", "expand", "window", "min_freq")),
+    "dfm": (cmd_dfm, "build and save the sparse feature matrices", ("tweets", "vaa"),
+            ("friends",)),
+    "topics": (cmd_topics, "fit the topic model and emit theta/top words", ("tweets", "vaa"),
+               ("k", "which")),
+    "train": (cmd_train, "train one classifier and save a model bundle", ("tweets", "vaa"),
+              ("friends", "dataset", "family", "k")),
+    "eval": (cmd_eval, "full evaluation across datasets and classifiers", ("tweets", "vaa"),
+             ("friends", "k", "tau", "n_samples", "datasets", "families")),
+    "predict": (cmd_predict, "apply a trained bundle to new users", ("tweets", "model_dir"),
+                ("friends", "tau")),
+    "newsstudy": (cmd_newsstudy, "classify news sharers and tabulate counts",
+                  ("shares", "tweets", "model_dir"), ("friends", "tau", "count_shares")),
+}
+
+# config key -> add_argument keywords of its flag, --<key with - for _>;
+# an absent flag is None, so it never overrides a config key
+FLAGS = {
+    "tweets": {}, "vaa": {}, "friends": {}, "model_dir": {},
+    "shares": {"help": "JSONL of {user_id, url, timestamp}"},
+    "n_users": {"type": int}, "vocab_size": {"type": int},
+    "k": {"type": int, "help": "topic count"},
+    "delta": {"type": float, "help": "class topic shift in [0,1]"},
+    "homophily": {"type": float, "help": "network homophily in [0.5,1]"},
+    "class_ratio": {"type": float}, "political_fraction": {"type": float},
+    "min_english": {"type": float}, "min_tweets": {"type": int},
+    "threshold": {"type": float, "help": "political index cutoff"},
+    "min_lexicon_tweets": {"type": int},
+    "expand": {"action": "store_true", "default": None,
+               "help": "expand seeds with skip-gram nearest neighbours"},
+    "window": {"type": int}, "min_freq": {"type": int},
+    "which": {"choices": ["pol", "nonpol"]},
+    "dataset": {"choices": list(pipeline.DATASETS)},
+    "family": {"choices": list(classify.FAMILIES)},
+    "tau": {"type": float}, "n_samples": {"type": int},
+    "datasets": {"nargs": "+"}, "families": {"nargs": "+"},
+    "count_shares": {"action": "store_true", "default": None},
 }
 
 
 def _public(config: dict) -> dict:
     return {k: v for k, v in config.items() if not k.startswith("_")}
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="master RNG seed")
-    p.add_argument("-v", "--verbose", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -494,83 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus with planted truth")
-    _add_common(p)
-    p.add_argument("--n-users", dest="n_users", type=int)
-    p.add_argument("--k", type=int, help="planted topic count")
-    p.add_argument("--vocab-size", dest="vocab_size", type=int)
-    p.add_argument("--delta", type=float, help="class topic shift in [0,1]")
-    p.add_argument("--homophily", type=float, help="network homophily in [0.5,1]")
-    p.add_argument("--class-ratio", dest="class_ratio", type=float)
-    p.add_argument("--political-fraction", dest="political_fraction", type=float)
-
-    p = sub.add_parser("ingest", help="load tweets + VAA, filter users, emit labels")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--vaa")
-    p.add_argument("--min-english", dest="min_english", type=float)
-    p.add_argument("--min-tweets", dest="min_tweets", type=int)
-
-    p = sub.add_parser("lexicon", help="induce the political lexicon")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--threshold", type=float, help="political index cutoff")
-    p.add_argument("--min-lexicon-tweets", dest="min_lexicon_tweets", type=int)
-    p.add_argument("--expand", action="store_true", default=None,
-                   help="expand seeds with skip-gram nearest neighbours")
-    p.add_argument("--window", type=int)
-    p.add_argument("--min-freq", dest="min_freq", type=int)
-
-    p = sub.add_parser("dfm", help="build and save the sparse feature matrices")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--vaa")
-    p.add_argument("--friends")
-
-    p = sub.add_parser("topics", help="fit the topic model and emit theta/top words")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--vaa")
-    p.add_argument("--k", type=int)
-    p.add_argument("--which", choices=["pol", "nonpol"])
-
-    p = sub.add_parser("train", help="train one classifier and save a model bundle")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--vaa")
-    p.add_argument("--friends")
-    p.add_argument("--dataset", choices=list(pipeline.DATASETS))
-    p.add_argument("--family", choices=list(classify.FAMILIES))
-    p.add_argument("--k", type=int)
-
-    p = sub.add_parser("eval", help="full evaluation across datasets and classifiers")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--vaa")
-    p.add_argument("--friends")
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--datasets", nargs="+")
-    p.add_argument("--families", nargs="+")
-
-    p = sub.add_parser("predict", help="apply a trained bundle to new users")
-    _add_common(p)
-    p.add_argument("--tweets")
-    p.add_argument("--friends")
-    p.add_argument("--model-dir", dest="model_dir")
-    p.add_argument("--tau", type=float)
-
-    p = sub.add_parser("newsstudy", help="classify news sharers and tabulate counts")
-    _add_common(p)
-    p.add_argument("--shares", help="JSONL of {user_id, url, timestamp}")
-    p.add_argument("--tweets")
-    p.add_argument("--friends")
-    p.add_argument("--model-dir", dest="model_dir")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--count-shares", dest="count_shares", action="store_true", default=None)
-
+    for name, (_, help_text, required_paths, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        p.add_argument("--out", help="output directory")
+        p.add_argument("--seed", type=int, help="master RNG seed")
+        p.add_argument("-v", "--verbose", action="store_true")
+        for key in required_paths + flags:
+            p.add_argument("--" + key.replace("_", "-"), **FLAGS[key])
     return parser
 
 
@@ -581,7 +535,7 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    command, required_paths = COMMANDS[args.subcommand]
+    command, _, required_paths, _ = COMMANDS[args.subcommand]
     try:
         config = _load_config(args, required_paths)
         out = config["out"]

@@ -58,6 +58,8 @@ class UserDocument:
 
 
 def _parse_timestamp(value: str) -> datetime:
+    if not isinstance(value, str):
+        raise TypeError(f"timestamp is {type(value).__name__}, not a string")
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
@@ -184,22 +186,21 @@ def load_vaa_results(path) -> list[VaaResult]:
     ]
 
 
-def raw_score(v: VaaResult, flip_sign: bool = False) -> float:
+def raw_score(v: VaaResult) -> float:
     """Conservative match minus Labour match (positive means right)."""
     try:
-        score = v.party_matches["Conservative"] - v.party_matches["Labour"]
+        return v.party_matches["Conservative"] - v.party_matches["Labour"]
     except KeyError as exc:
         raise ValueError(
             f"VAA result for {v.user_id} lacks a {exc.args[0]} match"
         ) from None
-    return -score if flip_sign else score
 
 
-def platform_maxima(results: Iterable[VaaResult], flip_sign: bool = False) -> dict[str, float]:
+def platform_maxima(results: Iterable[VaaResult]) -> dict[str, float]:
     """Max absolute raw score per VAA platform (the normalizers)."""
     maxima: dict[str, float] = defaultdict(float)
     for v in results:
-        maxima[v.vaa_source] = max(maxima[v.vaa_source], abs(raw_score(v, flip_sign)))
+        maxima[v.vaa_source] = max(maxima[v.vaa_source], abs(raw_score(v)))
     return dict(maxima)
 
 
@@ -211,12 +212,10 @@ def _label_for(score: float) -> str:
     return DROPPED
 
 
-def compute_leaning(
-    v: VaaResult, platform_max: float, flip_sign: bool = False
-) -> LeaningRecord:
+def compute_leaning(v: VaaResult, platform_max: float) -> LeaningRecord:
     if platform_max <= 0:
         raise ValueError("platform_max must be positive")
-    raw = raw_score(v, flip_sign)
+    raw = raw_score(v)
     normalized = max(-1.0, min(1.0, raw / platform_max))
     return LeaningRecord(v.user_id, raw, normalized, _label_for(normalized))
 
@@ -233,9 +232,7 @@ def merge_multi_vaa(records: Sequence[LeaningRecord]) -> LeaningRecord | None:
     return LeaningRecord(records[0].user_id, mean_raw, mean_norm, _label_for(mean_norm))
 
 
-def ground_truth_labels(
-    results: Iterable[VaaResult], flip_sign: bool = False
-) -> dict[str, LeaningRecord]:
+def ground_truth_labels(results: Iterable[VaaResult]) -> dict[str, LeaningRecord]:
     """Full scoring pipeline: drop results lacking a Conservative or
     Labour match, normalize per platform, merge per user, drop
     zero-score and conflicting users."""
@@ -247,10 +244,10 @@ def ground_truth_labels(
             logger.info("user %s: %s result removed, lacks a Conservative or Labour match",
                         v.user_id, v.vaa_source)
     results = complete
-    maxima = platform_maxima(results, flip_sign)
+    maxima = platform_maxima(results)
     per_user: dict[str, list[LeaningRecord]] = defaultdict(list)
     for v in results:
-        per_user[v.user_id].append(compute_leaning(v, maxima[v.vaa_source], flip_sign))
+        per_user[v.user_id].append(compute_leaning(v, maxima[v.vaa_source]))
     labels: dict[str, LeaningRecord] = {}
     for user_id, recs in per_user.items():
         merged = merge_multi_vaa(recs)

@@ -366,8 +366,6 @@ def run_pipeline(
 
     mean: dict[str, dict[str, dict[str, float]]] = {}
     for dataset in cfg.datasets:
-        if not all(dataset in s.metrics for s in samples):
-            continue
         mean[dataset] = {}
         for family in cfg.families:
             vals = [s.metrics[dataset][family] for s in samples]

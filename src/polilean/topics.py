@@ -106,7 +106,6 @@ def find_anchors(
     rows = q_row[candidates].astype(np.float64, copy=True)
     residual_sq = (rows * rows).sum(axis=1)
     anchors: list[int] = []
-    basis: list[np.ndarray] = []
     for step in range(k):
         best = int(np.argmax(residual_sq))
         if residual_sq[best] <= 1e-12:
@@ -117,7 +116,6 @@ def find_anchors(
         direction = rows[best].copy()
         norm = np.linalg.norm(direction)
         direction /= norm
-        basis.append(direction)
         # project the new direction out of every candidate row
         coef = rows @ direction
         rows -= coef[:, None] * direction[None, :]

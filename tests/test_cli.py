@@ -492,6 +492,57 @@ def test_parser_subcommands_are_the_command_table():
     assert list(subparsers.choices) == list(cli.COMMANDS)
 
 
+def _parsed_config(argv, config_file=None):
+    """The config a command line gives, without running the subcommand."""
+    if config_file:
+        argv = [*argv, "--config", config_file]
+    return cli._load_config(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["synth", "--n-users", "40", "--k", "4", "--delta", "0.5", "--class-ratio", "0.4",
+      "--political-fraction", "0.02", "--vocab-size", "300", "--homophily", "0.9"],
+     {"n_users": 40, "k": 4, "delta": 0.5, "class_ratio": 0.4, "political_fraction": 0.02,
+      "vocab_size": 300, "homophily": 0.9}),
+    (["ingest", "--tweets", "t", "--vaa", "v", "--min-english", "0.5", "--min-tweets", "3"],
+     {"tweets": "t", "vaa": "v", "min_english": 0.5, "min_tweets": 3}),
+    (["lexicon", "--tweets", "t", "--threshold", "0.2", "--min-lexicon-tweets", "9",
+      "--expand", "--window", "2", "--min-freq", "1"],
+     {"tweets": "t", "threshold": 0.2, "min_lexicon_tweets": 9, "expand": True,
+      "window": 2, "min_freq": 1}),
+    (["dfm", "--tweets", "t", "--vaa", "v", "--friends", "f"],
+     {"tweets": "t", "vaa": "v", "friends": "f"}),
+    (["topics", "--tweets", "t", "--vaa", "v", "--k", "5", "--which", "pol"],
+     {"tweets": "t", "vaa": "v", "k": 5, "which": "pol"}),
+    (["train", "--tweets", "t", "--vaa", "v", "--friends", "f", "--dataset", "net",
+      "--family", "NB", "--k", "5"],
+     {"tweets": "t", "vaa": "v", "friends": "f", "dataset": "net", "family": "NB", "k": 5}),
+    (["eval", "--tweets", "t", "--vaa", "v", "--friends", "f", "--k", "5", "--tau", "0.6",
+      "--n-samples", "3", "--datasets", "a", "b", "--families", "NB"],
+     {"tweets": "t", "vaa": "v", "friends": "f", "k": 5, "tau": 0.6, "n_samples": 3,
+      "datasets": ["a", "b"], "families": ["NB"]}),
+    (["predict", "--tweets", "t", "--friends", "f", "--model-dir", "m", "--tau", "0.7"],
+     {"tweets": "t", "friends": "f", "model_dir": "m", "tau": 0.7}),
+    (["newsstudy", "--shares", "s", "--tweets", "t", "--friends", "f", "--model-dir", "m",
+      "--tau", "0.7", "--count-shares"],
+     {"shares": "s", "tweets": "t", "friends": "f", "model_dir": "m", "tau": 0.7,
+      "count_shares": True}),
+])
+def test_flags_set_typed_config_keys(argv, expected):
+    config = _parsed_config([*argv, "--out", "o", "--seed", "2"])
+    assert config == {**expected, "subcommand": argv[0], "out": "o", "seed": 2,
+                      "verbose": False}
+    for key, value in expected.items():
+        assert type(config[key]) is type(value), key
+
+
+@pytest.mark.parametrize("subcommand, key", [("lexicon", "expand"),
+                                             ("newsstudy", "count_shares")])
+def test_absent_switch_keeps_the_config_value(tmp_path, subcommand, key):
+    config_file = _write_config(tmp_path / "c.json", {key: True, "out": "o"})
+    assert _parsed_config([subcommand], config_file)[key] is True
+
+
 class TestConfigErrors:
     def test_missing_required_key(self, tmp_path):
         code = _run(tmp_path, "synth", {"n_users": 10})  # no "out"
@@ -598,6 +649,40 @@ class TestConfigErrors:
         })
         assert code == 2
         assert "field 'which'" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert cli.main(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert "config error: field 'config': must be a JSON object" in capsys.readouterr().err
+
+    def test_tau_is_checked_before_any_work(self, work, trained, monkeypatch, capsys):
+        def load(*args, **kwargs):
+            raise AssertionError("input was loaded before the config was checked")
+
+        monkeypatch.setattr(pipeline, "load_corpus", load)
+        monkeypatch.setattr(cli, "load_tweets", load)
+        tmp = work["tmp"]
+        assert cli.main(["eval", "--tweets", work["tweets"], "--vaa", work["vaa"],
+                         "--tau", "0.3", "--out", str(tmp / "bad_tau_eval")]) == 2
+        assert "field 'tau': must be a number in [0.5, 1]" in capsys.readouterr().err
+        assert cli.main(["predict", "--tweets", work["tweets"], "--model-dir", trained,
+                         "--tau", "1.5", "--out", str(tmp / "bad_tau_predict")]) == 2
+        assert "field 'tau': must be a number in [0.5, 1]" in capsys.readouterr().err
+        config = _write_config(tmp / "tau_text.json", {"tau": "high", "out": str(tmp / "x")})
+        assert cli.main(["synth", "--config", config]) == 2
+        assert "field 'tau': must be a number in [0.5, 1], got 'high'" in capsys.readouterr().err
+
+    def test_eval_needs_a_sample(self, work, monkeypatch, capsys):
+        def load_corpus(*args, **kwargs):
+            raise AssertionError("the corpus was loaded before the config was checked")
+
+        monkeypatch.setattr(pipeline, "load_corpus", load_corpus)
+        out = work["tmp"] / "no_samples"
+        assert cli.main(["eval", "--tweets", work["tweets"], "--vaa", work["vaa"],
+                         "--n-samples", "0", "--out", str(out)]) == 2
+        assert "field 'n_samples': must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(out / "eval_report.json")
 
     def test_every_config_key_names_a_pipeline_field(self):
         fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}

@@ -157,6 +157,22 @@ class TestLoaderSummaries:
             "1 invalid JSON, 2 invalid value, 1 missing field"
         )
 
+    def test_non_string_timestamp_is_skipped(self, tmp_path, caplog):
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(
+            '{"user_id": "u1", "timestamp": 12345, "text": "hello"}\n'
+            '{"user_id": "u2", "timestamp": "2015-05-01T10:00:00Z", "text": "there"}\n'
+            '{"user_id": "u3", "timestamp": null, "text": "again"}\n'
+        )
+        with caplog.at_level(logging.INFO, logger="polilean.corpus"):
+            tweets = load_tweets(path)
+        assert [t.user_id for t in tweets] == ["u2"]
+        assert "timestamp is int, not a string" in caplog.text
+        assert "timestamp is NoneType, not a string" in caplog.text
+        assert self._summary(caplog) == (
+            f"{path}: 3 records read, 1 kept, 2 skipped, 2 invalid value"
+        )
+
     def test_load_friends(self, tmp_path, caplog):
         path = tmp_path / "friends.jsonl"
         path.write_text(
@@ -239,7 +255,6 @@ class TestLeaningScores:
     def test_raw_score_direction(self):
         assert raw_score(_vaa("u", "P", 62, 38)) == 24
         assert raw_score(_vaa("u", "P", 38, 62)) == -24
-        assert raw_score(_vaa("u", "P", 62, 38, ), flip_sign=True) == -24
 
     def test_missing_party_named_in_error(self):
         with pytest.raises(ValueError, match="Labour"):
