@@ -15,6 +15,7 @@ import numpy as np
 
 from . import nn as nn_mod
 from . import svm as svm_mod
+from .resources import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -299,10 +300,6 @@ def load_model(path) -> ClassifierModel:
 
 
 def write_predictions_csv(path, predictions: list[Prediction]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "p_right", "label"])
-        for pred in predictions:
-            writer.writerow([pred.user_id, repr(pred.p_right), pred.label])
+    write_csv(path, [["user_id", "p_right", "label"]] + [
+        [pred.user_id, repr(pred.p_right), pred.label] for pred in predictions
+    ])

@@ -10,11 +10,13 @@ it returns its (inputs, outputs) and main() does the shared glue.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
 import os
 import sys
+import typing
 from collections import Counter
 
 import numpy as np
@@ -54,16 +56,8 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path, obj) -> None:
-    """Write obj as key-sorted, indented JSON: the one format of every
-    JSON artifact, which keeps same-seed reruns byte-identical."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir, subcommand, config, inputs, outputs) -> None:
-    _write_json(os.path.join(out_dir, "manifest.json"), {
+    resources.write_json(os.path.join(out_dir, "manifest.json"), {
         "subcommand": subcommand,
         "version": __version__,
         "config": config,
@@ -91,7 +85,7 @@ def _load_config(args, required_paths=()) -> dict:
     if "out" not in config:
         raise ConfigError("field 'out': required but missing")
     tau = config.get("tau", 0.5)
-    if not (isinstance(tau, (int, float)) and 0.5 <= tau <= 1.0):
+    if not (type(tau) in (int, float) and 0.5 <= tau <= 1.0):
         raise ConfigError(f"field 'tau': must be a number in [0.5, 1], got {tau!r}")
     for key in required_paths:
         if key not in config:
@@ -126,18 +120,30 @@ SYNTH_FIELDS = {
 }
 
 
-def _fields(config, keys, tuple_fields) -> dict:
-    """The fields that config sets through the key -> field map keys, with
-    tuple_fields as tuples; a field whose key is absent keeps its default."""
-    values = {field: config[key] for key, field in keys.items() if key in config}
-    for field in tuple_fields:
-        if field in values:
-            values[field] = tuple(values[field])
-    return values
+def _fields(config, keys, cls) -> dict:
+    """The fields of dataclass cls that config sets through the key ->
+    field map keys, each checked against its field's type; a field whose
+    key is absent keeps its default."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    return {field: _typed(key, config[key], kinds[field])
+            for key, field in keys.items() if key in config}
+
+
+def _typed(key, value, kind):
+    """value as a field of type kind: an integer serves a float field and a
+    list a tuple field, made a tuple; true and false serve only a bool field."""
+    items = typing.get_args(kind)  # () unless kind is tuple[...]
+    if items:
+        if isinstance(value, list) and (items[-1] is ... or len(value) == len(items)):
+            return tuple(_typed(key, v, items[0]) for v in value)
+    elif isinstance(value, (int, float) if kind is float else kind) and (
+            isinstance(value, bool) == (kind is bool)):
+        return value
+    raise ConfigError(f"field '{key}': must be {kind if items else kind.__name__}, got {value!r}")
 
 
 def _pipeline_config(config) -> pipeline.PipelineConfig:
-    cfg = pipeline.PipelineConfig(**_fields(config, CONFIG_FIELDS, ("datasets", "families")))
+    cfg = pipeline.PipelineConfig(**_fields(config, CONFIG_FIELDS, pipeline.PipelineConfig))
     for d in cfg.datasets:
         if d not in pipeline.DATASETS:
             raise ConfigError(f"field 'datasets': unknown dataset {d!r}")
@@ -159,7 +165,7 @@ def _inputs(config, *keys) -> list[str]:
 
 
 def cmd_synth(config, out):
-    spec = SynthSpec(**_fields(config, SYNTH_FIELDS, ("tweets_per_user",)))
+    spec = SynthSpec(**_fields(config, SYNTH_FIELDS, SynthSpec))
     try:
         spec.validate()
     except ValueError as exc:
@@ -174,14 +180,12 @@ def cmd_ingest(config, out):
         config["tweets"], config["vaa"], _pipeline_config(config)
     )
     labels_path = os.path.join(out, "labels.csv")
-    with open(labels_path, "w") as fh:
-        fh.write("user_id,normalized_score,label\n")
-        for uid in sorted(records):
-            if uid in kept:
-                r = records[uid]
-                fh.write(f"{uid},{r.normalized_score!r},{r.label}\n")
+    resources.write_csv(labels_path, [["user_id", "normalized_score", "label"]] + [
+        [uid, repr(records[uid].normalized_score), records[uid].label]
+        for uid in sorted(records) if uid in kept
+    ])
     summary_path = os.path.join(out, "ingest_summary.json")
-    _write_json(summary_path, {
+    resources.write_json(summary_path, {
         "n_tweets": len(tweets),
         "n_users_raw": n_users_raw,
         "n_users_kept": len(kept),
@@ -192,7 +196,8 @@ def cmd_ingest(config, out):
 
 
 def cmd_lexicon(config, out):
-    lexicon = pipeline.build_lexicon(load_tweets(config["tweets"]), _pipeline_config(config))
+    cfg = _pipeline_config(config)
+    lexicon = pipeline.build_lexicon(load_tweets(config["tweets"]), cfg)
     lex_path = os.path.join(out, "lexicon.json")
     lexicon.save(lex_path)
     print(f"lexicon of {len(lexicon)} terms at {lex_path}")
@@ -242,10 +247,9 @@ def cmd_topics(config, out):
     write_top_words_csv(words_csv, word_scores(model.beta, model.vocab), model.k)
     effects_csv = os.path.join(out, "prevalence.csv")
     effects = prevalence_regression(theta, [bundle.labels[u] for u in users])
-    with open(effects_csv, "w") as fh:
-        fh.write("topic,estimate,ci_low,ci_high\n")
-        for e in effects:
-            fh.write(f"{e.topic},{e.estimate!r},{e.ci_low!r},{e.ci_high!r}\n")
+    resources.write_csv(effects_csv, [["topic", "estimate", "ci_low", "ci_high"]] + [
+        [e.topic, repr(e.estimate), repr(e.ci_low), repr(e.ci_high)] for e in effects
+    ])
     print(f"fitted {model.k} topics over {len(model.vocab)} features")
     return [config["tweets"], config["vaa"]], [header, beta_csv, theta_csv, words_csv, effects_csv]
 
@@ -270,14 +274,15 @@ def cmd_train(config, out):
     paths = _bundle_paths(out, blocks)
     classify.save_model(sample.models[(dataset, family)], paths["classifier.json"])
     bundle.lexicon.save(paths["lexicon.json"])
-    _write_json(paths["train_meta.json"], {
+    resources.write_json(paths["train_meta.json"], {
         "dataset": dataset, "family": family, "metrics": m, "seed": cfg.seed, "tau": cfg.tau,
     })
     if blocks.text:
         save_topic_model(sample.topic_models[blocks.text],
                          paths["topic_model.json"], paths["topic_beta.csv"])
     if blocks.net:
-        _write_json(paths["network_columns.json"], {"columns": list(sample.network_columns)})
+        resources.write_json(paths["network_columns.json"],
+                             {"columns": list(sample.network_columns)})
     print(f"{dataset}/{family}: F1={m['f1']:.3f} P={m['precision']:.3f} R={m['recall']:.3f}")
     return _inputs(config, "tweets", "vaa"), list(paths.values())
 
@@ -293,16 +298,13 @@ def cmd_eval(config, out):
     samples = report.pop("_sample_objects")
 
     report_path = os.path.join(out, "eval_report.json")
-    _write_json(report_path, report)
+    resources.write_json(report_path, report)
     csv_path = os.path.join(out, "eval_report.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("dataset,family,f1,precision,recall,unknown\n")
-        for dataset, fams in sorted(report["mean"].items()):
-            for family, m in sorted(fams.items()):
-                fh.write(
-                    f"{dataset},{family},{m['f1']:.4f},{m['precision']:.4f},"
-                    f"{m['recall']:.4f},{m['unknown']:.4f}\n"
-                )
+    columns = ["f1", "precision", "recall", "unknown"]
+    resources.write_csv(csv_path, [["dataset", "family", *columns]] + [
+        [dataset, family, *(f"{m[c]:.4f}" for c in columns)]
+        for dataset, fams in sorted(report["mean"].items()) for family, m in sorted(fams.items())
+    ])
     outputs = [report_path, csv_path]
 
     # post-hoc diagnostics on the first sample, when features allow
@@ -321,10 +323,9 @@ def cmd_eval(config, out):
             model, x_te, truth, names, repeats=5, seed=cfg.seed
         )
         imp_path = os.path.join(out, "feature_importance.csv")
-        with open(imp_path, "w") as fh:
-            fh.write("feature,importance\n")
-            for name, value in ranked:
-                fh.write(f"{name},{value!r}\n")
+        resources.write_csv(imp_path, [["feature", "importance"]] + [
+            [name, repr(value)] for name, value in ranked
+        ])
         outputs.append(imp_path)
     if bundle.friends:
         accounts = Counter(a for f in bundle.friends.values() for a in f)
@@ -343,7 +344,7 @@ def cmd_eval(config, out):
             extremity.append(abs(bundle.scores[uid]))
     if len(activity) >= 3 and np.std(activity) > 0 and np.std(extremity) > 0:
         diag_path = os.path.join(out, "diagnostics.json")
-        _write_json(diag_path, {
+        resources.write_json(diag_path, {
             "pearson_activity_vs_extremity": evaluation.pearson(activity, extremity)
         })
         outputs.append(diag_path)
@@ -390,6 +391,8 @@ def _bundle_meta(config) -> tuple[dict, list[str]]:
 
     with open(required(pipeline.Blocks(None, False))["train_meta.json"]) as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ConfigError("field 'model_dir': train_meta.json must be a JSON object")
     if meta.get("dataset") not in pipeline.DATASETS:
         raise ConfigError(
             f"field 'model_dir': unknown dataset {meta.get('dataset')!r} in train_meta.json"

@@ -66,9 +66,21 @@ def _parse_timestamp(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+class Skipped(ValueError):
+    """Raised by a record parser to skip its record for a named reason."""
+
+    def __init__(self, reason: str, detail: str | None = None):
+        super().__init__(detail or reason)
+        self.reason = reason
+
+
 def skip_reason(exc: Exception) -> str:
     """Why a loader skipped a record, from the exception that parsing it
     raised."""
+    if isinstance(exc, Skipped):
+        return exc.reason
+    if isinstance(exc, UnicodeError):
+        return "invalid UTF-8"
     if isinstance(exc, json.JSONDecodeError):
         return "invalid JSON"
     if isinstance(exc, KeyError):
@@ -96,86 +108,86 @@ class SkipLog:
                       self.path, kept + n_skipped, kept, n_skipped, reasons)
 
 
+def read_jsonl(path, parse: Callable, log: logging.Logger) -> list:
+    """parse(obj) for the JSON object on each non-blank line of path, in
+    order. A line that is not UTF-8 or not JSON, or whose parse raises
+    KeyError, TypeError or ValueError (Skipped included), is logged to
+    log with its number and skipped; one summary line ends the read."""
+    records = []
+    skips = SkipLog(log, path)
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if line:
+                    records.append(parse(json.loads(line)))
+            except (KeyError, TypeError, ValueError) as exc:
+                skips.skip(lineno, skip_reason(exc), exc)
+    skips.summary(len(records))
+    return records
+
+
+def _tweet(obj) -> Tweet:
+    tweet = Tweet(
+        user_id=str(obj["user_id"]),
+        timestamp=_parse_timestamp(obj["timestamp"]),
+        text=obj["text"],
+        lang=obj.get("lang"),
+    )
+    if not isinstance(tweet.text, str):
+        raise TypeError(f"text is {type(tweet.text).__name__}, not a string")
+    if not tweet.text.strip():
+        raise Skipped("empty text")
+    return tweet
+
+
 def load_tweets(path) -> list[Tweet]:
     """Read tweets from JSONL; malformed lines are logged and skipped."""
-    tweets: list[Tweet] = []
-    skips = SkipLog(logger, path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                tweet = Tweet(
-                    user_id=str(obj["user_id"]),
-                    timestamp=_parse_timestamp(obj["timestamp"]),
-                    text=obj["text"],
-                    lang=obj.get("lang"),
-                )
-                if not isinstance(tweet.text, str):
-                    raise TypeError(f"text is {type(tweet.text).__name__}, not a string")
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                skips.skip(lineno, skip_reason(exc), exc)
-                continue
-            if not tweet.text.strip():
-                skips.skip(lineno, "empty text", "empty text")
-                continue
-            tweets.append(tweet)
-    skips.summary(len(tweets))
-    return tweets
+    return read_jsonl(path, _tweet, logger)
 
 
 def load_friends(path) -> dict[str, list[str]]:
     """Read follow lists from JSONL; malformed lines and later lines for
     a user already read are logged and skipped."""
-    friends: dict[str, list[str]] = {}
-    skips = SkipLog(logger, path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj["friends"], list):
-                    raise TypeError(f"friends is {type(obj['friends']).__name__}, not a list")
-                user_id = str(obj["user_id"])
-                accounts = [str(f) for f in obj["friends"]]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                skips.skip(lineno, skip_reason(exc), exc)
-                continue
-            if user_id in friends:
-                skips.skip(lineno, "duplicate", f"duplicate user {user_id!r}")
-                continue
-            friends[user_id] = accounts
-    skips.summary(len(friends))
-    return friends
+    seen: set[str] = set()
+
+    def parse(obj) -> tuple[str, list[str]]:
+        if not isinstance(obj["friends"], list):
+            raise TypeError(f"friends is {type(obj['friends']).__name__}, not a list")
+        user_id = str(obj["user_id"])
+        if user_id in seen:
+            raise Skipped("duplicate", f"duplicate user {user_id!r}")
+        seen.add(user_id)
+        return user_id, [str(f) for f in obj["friends"]]
+
+    return dict(read_jsonl(path, parse, logger))
 
 
 def load_vaa_results(path) -> list[VaaResult]:
     """Read long-format CSV (user_id, vaa, party, match) into VaaResults;
-    malformed rows, non-finite matches included, and later rows for a
-    (user, vaa, party) already read are logged and skipped."""
+    malformed rows (non-finite matches and bytes that are not UTF-8
+    included) and later rows for a (user, vaa, party) already read are
+    logged and skipped."""
     grouped: dict[tuple[str, str], dict[str, float]] = defaultdict(dict)
     skips = SkipLog(logger, path)
     kept = 0
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.DictReader(fh)
         for rec in reader:
             try:
+                # a byte that is not UTF-8 reads as a lone surrogate,
+                # which encoding back to UTF-8 refuses
+                fields = [v for v in rec.values() if isinstance(v, str)] + rec.get(None, [])
+                "".join(fields).encode("utf-8")
                 match = float(rec["match"])
                 key = (str(rec["user_id"]), rec["vaa"])
                 party = rec["party"]
+                if not math.isfinite(match):
+                    raise Skipped("non-finite match", f"non-finite match {rec['match']!r}")
+                if party in grouped[key]:
+                    raise Skipped("duplicate", f"duplicate {party} match for {key}")
             except (KeyError, TypeError, ValueError) as exc:
                 skips.skip(reader.line_num, skip_reason(exc), exc)
-                continue
-            if not math.isfinite(match):
-                skips.skip(reader.line_num, "non-finite match",
-                           f"non-finite match {rec['match']!r}")
-                continue
-            if party in grouped[key]:
-                skips.skip(reader.line_num, "duplicate", f"duplicate {party} match for {key}")
                 continue
             grouped[key][party] = match
             kept += 1

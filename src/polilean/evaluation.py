@@ -5,7 +5,6 @@ minority class in the motivating data). Unknown predictions never
 enter the confusion matrix; their share is reported separately.
 """
 
-import csv
 import logging
 from collections import defaultdict
 from collections.abc import Mapping, Sequence
@@ -15,6 +14,7 @@ import numpy as np
 
 from .classify import LEFT, RIGHT, UNKNOWN, ClassifierModel, label_for, predict
 from .corpus import UserDocument
+from .resources import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -200,22 +200,15 @@ def permutation_importance(
 
 
 def write_threshold_csv(path, rows: list[ThresholdRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["target", "tau", "f1", "precision", "recall", "unknown_fraction"])
-        for r in rows:
-            if r.reachable:
-                writer.writerow(
-                    [r.target, f"{r.tau:.2f}", f"{r.f1:.4f}", f"{r.precision:.4f}",
-                     f"{r.recall:.4f}", f"{r.unknown_fraction:.4f}"]
-                )
-            else:
-                writer.writerow([r.target, "unreachable", "", "", "", ""])
+    write_csv(path, [["target", "tau", "f1", "precision", "recall", "unknown_fraction"]] + [
+        [r.target, f"{r.tau:.2f}", f"{r.f1:.4f}", f"{r.precision:.4f}",
+         f"{r.recall:.4f}", f"{r.unknown_fraction:.4f}"]
+        if r.reachable else [r.target, "unreachable", "", "", "", ""]
+        for r in rows
+    ])
 
 
 def write_follow_shares_csv(path, rows: list[tuple[str, float, float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["account", "left_pct", "right_pct"])
-        for account, left_pct, right_pct in rows:
-            writer.writerow([account, f"{left_pct:.1f}", f"{right_pct:.1f}"])
+    write_csv(path, [["account", "left_pct", "right_pct"]] + [
+        [account, f"{left_pct:.1f}", f"{right_pct:.1f}"] for account, left_pct, right_pct in rows
+    ])

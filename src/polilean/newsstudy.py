@@ -6,15 +6,14 @@ vocabulary, classified with a trained model at a high threshold, and
 aggregated into a source-by-type-by-label count table.
 """
 
-import csv
-import json
 import logging
 from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from .classify import UNKNOWN, Prediction, apply_threshold, predict
-from .corpus import SkipLog, skip_reason
+from .corpus import read_jsonl
+from .resources import write_csv
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
@@ -55,23 +54,14 @@ def match_url(url: str, patterns: Sequence[UrlPattern]) -> tuple[str, str] | Non
 
 def load_share_events(path, patterns: Sequence[UrlPattern]) -> list[ShareEvent]:
     """Read share events from JSONL; malformed lines are logged and skipped."""
-    events: list[ShareEvent] = []
-    skips = SkipLog(logger, path)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                user_id, url = str(obj["user_id"]), obj["url"]
-                if not isinstance(url, str):
-                    raise TypeError(f"url is {type(url).__name__}, not a string")
-                events.append(ShareEvent(user_id, url, match_url(url, patterns)))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                skips.skip(lineno, skip_reason(exc), exc)
-    skips.summary(len(events))
-    return events
+
+    def parse(obj) -> ShareEvent:
+        user_id, url = str(obj["user_id"]), obj["url"]
+        if not isinstance(url, str):
+            raise TypeError(f"url is {type(url).__name__}, not a string")
+        return ShareEvent(user_id, url, match_url(url, patterns))
+
+    return read_jsonl(path, parse, logger)
 
 
 def project_features(docs: Mapping[str, Counter], training_vocab: Sequence[str]) -> SparseDFM:
@@ -142,11 +132,10 @@ def counts_table(
 
 
 def write_counts_csv(path, table: dict[tuple[str, str], dict[str, int]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["newstype", "label", *SOURCES, "total"])
-        for (newstype, label), row in sorted(table.items()):
-            writer.writerow([newstype, label, *(row[s] for s in SOURCES), row["Total"]])
+    write_csv(path, [["newstype", "label", *SOURCES, "total"]] + [
+        [newstype, label, *(row[s] for s in SOURCES), row["Total"]]
+        for (newstype, label), row in sorted(table.items())
+    ])
 
 
 def format_counts(table: dict[tuple[str, str], dict[str, int]]) -> str:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .corpus import Tweet
+from .resources import write_json
 from .textprep import tokenize_matching
 
 logger = logging.getLogger(__name__)
@@ -44,9 +45,7 @@ class Lexicon:
             }
             for t in sorted(self.terms)
         ]
-        with open(path, "w") as fh:
-            json.dump(entries, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, entries)
 
     @classmethod
     def load(cls, path) -> "Lexicon":

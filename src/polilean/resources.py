@@ -1,7 +1,9 @@
-"""Loaders for data files shipped with the package."""
+"""Loaders for data files shipped with the package, and the one writer
+of each artifact format: key-sorted indented JSON and RFC 4180 CSV."""
 
 import csv
 import json
+from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -45,3 +47,18 @@ def election_periods() -> dict[str, tuple[datetime, datetime]]:
         end = end.replace(hour=23, minute=59, second=59)
         out[span["name"]] = (start, end)
     return out
+
+
+def write_json(path, obj) -> None:
+    """Write obj as key-sorted, indented JSON: the one format of every
+    JSON artifact, which keeps same-seed reruns byte-identical."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def write_csv(path, rows: Iterable[Sequence]) -> None:
+    """Write rows, the header first if there is one, as RFC 4180 CSV:
+    fields quoted where needed, every line ending in CRLF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)

@@ -7,7 +7,6 @@ sub-vocabulary fires preferentially inside election windows, and the
 friend graph follows class hubs with configurable homophily.
 """
 
-import csv
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -273,16 +272,15 @@ def generate(spec: SynthSpec, out_dir) -> SynthResult:
 
     vaa_path = os.path.join(out_dir, "vaa.csv")
     rng_vaa = np.random.default_rng(seeds[3])
-    with open(vaa_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id", "vaa", "party", "match"])
-        for u, uid in enumerate(user_ids):
-            spread = float(rng_vaa.uniform(5.0, 45.0))
-            con, lab = (50.0 + spread, 50.0 - spread)
-            if not is_right[u]:
-                con, lab = lab, con
-            writer.writerow([uid, "SYN", "Conservative", f"{con:.2f}"])
-            writer.writerow([uid, "SYN", "Labour", f"{lab:.2f}"])
+    vaa_rows = [["user_id", "vaa", "party", "match"]]
+    for u, uid in enumerate(user_ids):
+        spread = float(rng_vaa.uniform(5.0, 45.0))
+        con, lab = (50.0 + spread, 50.0 - spread)
+        if not is_right[u]:
+            con, lab = lab, con
+        vaa_rows.append([uid, "SYN", "Conservative", f"{con:.2f}"])
+        vaa_rows.append([uid, "SYN", "Labour", f"{lab:.2f}"])
+    resources.write_csv(vaa_path, vaa_rows)
 
     truth_path = os.path.join(out_dir, "truth.json")
     truth = {
@@ -305,9 +303,7 @@ def generate(spec: SynthSpec, out_dir) -> SynthResult:
         "beta": [[repr(float(x)) for x in row] for row in beta],
         "theta": {u: [repr(float(x)) for x in theta_by_user[u]] for u in user_ids},
     }
-    with open(truth_path, "w") as fh:
-        json.dump(truth, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    resources.write_json(truth_path, truth)
 
     return SynthResult(
         tweets_path=tweets_path,

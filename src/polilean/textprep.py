@@ -18,10 +18,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .porter import stem as porter_stem
+from .resources import write_csv, write_json
 
 __all__ = [
     "SparseDFM", "tokenize", "tokenize_matching", "porter_stem",
-    "remove_stopwords", "preprocess_tweet", "ngram_strings", "build_ngrams", "build_dfm",
+    "remove_stopwords", "preprocess_tweet", "ngram_strings", "build_dfm",
     "trim_sparse", "build_network_matrix",
     "save_dfm", "load_dfm",
 ]
@@ -126,11 +127,6 @@ def ngram_strings(stems: Sequence[str], orders: Iterable[int] = (1, 2, 3)) -> It
     )
 
 
-def build_ngrams(stems: Sequence[str], orders: Iterable[int] = (1, 2, 3)) -> Counter:
-    """Multiset of n-grams over one tweet (see ngram_strings)."""
-    return Counter(ngram_strings(stems, orders))
-
-
 def _kept(doc_freq: np.ndarray, n_docs: int, sparsity: float) -> np.ndarray:
     """Indices of the features whose document-frequency proportion is
     above 1 - sparsity; an error when there is none."""
@@ -196,23 +192,22 @@ def save_dfm(dfm: SparseDFM, triplet_path, header_path) -> None:
     """Triplet CSV (row_id, col_id, value) plus a JSON header."""
     coo = dfm.matrix.tocoo()
     order = np.lexsort((coo.col, coo.row))
-    with open(triplet_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_id", "col_id", "value"])
+
+    def rows():
+        yield ["row_id", "col_id", "value"]
         for idx in order:
             value = coo.data[idx]
             text = repr(int(value)) if float(value).is_integer() else repr(float(value))
-            writer.writerow([dfm.row_ids[coo.row[idx]], dfm.col_ids[coo.col[idx]], text])
-    header = {
+            yield [dfm.row_ids[coo.row[idx]], dfm.col_ids[coo.col[idx]], text]
+
+    write_csv(triplet_path, rows())
+    write_json(header_path, {
         "kind": dfm.kind,
         "n_rows": dfm.shape[0],
         "n_cols": dfm.shape[1],
         "row_ids": list(dfm.row_ids),
         "col_ids": list(dfm.col_ids),
-    }
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def load_dfm(triplet_path, header_path) -> SparseDFM:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .resources import write_csv, write_json
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
@@ -346,20 +347,14 @@ def prevalence_regression(
 
 
 def save_topic_model(model: TopicModel, header_path, beta_path) -> None:
-    header = {
+    write_json(header_path, {
         "format": "topic-model/1",
         "k": model.k,
         "anchors": list(model.anchors),
         "vocab": list(model.vocab),
         "word_prob": [repr(float(p)) for p in model.word_prob],
-    }
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-    with open(beta_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in model.beta:
-            writer.writerow([repr(float(x)) for x in row])
+    })
+    write_csv(beta_path, ([repr(float(x)) for x in row] for row in model.beta))
 
 
 def load_topic_model(header_path, beta_path) -> TopicModel:
@@ -376,17 +371,13 @@ def load_topic_model(header_path, beta_path) -> TopicModel:
 
 
 def write_theta_csv(path, row_ids: Sequence[str], theta: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user_id"] + [f"theta_{k}" for k in range(theta.shape[1])])
-        for user, row in zip(row_ids, theta):
-            writer.writerow([user] + [repr(float(x)) for x in row])
+    write_csv(path, [["user_id"] + [f"theta_{k}" for k in range(theta.shape[1])]] + [
+        [user] + [repr(float(x)) for x in row] for user, row in zip(row_ids, theta)
+    ])
 
 
 def write_top_words_csv(path, scores: WordScores, k: int) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic", "rank", "word"])
-        for topic in range(k):
-            for rank, word in enumerate(top_words(scores, topic), start=1):
-                writer.writerow([topic, rank, word])
+    write_csv(path, [["topic", "rank", "word"]] + [
+        [topic, rank, word]
+        for topic in range(k) for rank, word in enumerate(top_words(scores, topic), start=1)
+    ])

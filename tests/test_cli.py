@@ -4,6 +4,7 @@ config validation exit codes and run manifests."""
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import logging
 import os
@@ -688,6 +689,57 @@ class TestConfigErrors:
         fields = {f.name for f in dataclasses.fields(pipeline.PipelineConfig)}
         assert set(cli.CONFIG_FIELDS.values()) <= fields
 
+    @pytest.mark.parametrize("subcommand, key, value, message", [
+        ("eval", "n_samples", "2", "must be int, got '2'"),
+        ("eval", "n_samples", True, "must be int, got True"),
+        ("eval", "families", "NB", "must be tuple[str, ...], got 'NB'"),
+        ("eval", "datasets", ["net", 1], "must be str, got 1"),
+        ("train", "k", 2.5, "must be int, got 2.5"),
+        ("ingest", "min_english", "0.5", "must be float, got '0.5'"),
+        ("ingest", "min_english", None, "must be float, got None"),
+        ("lexicon", "expand", 1, "must be bool, got 1"),
+        ("synth", "tweets_per_user", [25], "must be tuple[int, int], got [25]"),
+        ("synth", "delta", False, "must be float, got False"),
+    ], ids=["str-for-int", "bool-for-int", "str-for-tuple", "bad-item", "float-for-int",
+            "str-for-float", "null-for-float", "int-for-bool", "short-tuple", "bool-for-float"])
+    def test_config_values_are_type_checked(self, work, monkeypatch, capsys,
+                                            subcommand, key, value, message):
+        def load(*args, **kwargs):
+            raise AssertionError("input was read before the config was checked")
+
+        for module, name in ((pipeline, "load_corpus"), (pipeline, "ingest"),
+                             (cli, "load_tweets")):
+            monkeypatch.setattr(module, name, load)
+        out = work["tmp"] / f"bad_{subcommand}_{key}"
+        assert _run(work["tmp"], subcommand, {
+            "tweets": work["tweets"], "vaa": work["vaa"], "out": str(out), key: value,
+        }) == 2
+        assert f"config error: field '{key}': {message}" in capsys.readouterr().err
+        assert not os.path.exists(out / "manifest.json")
+
+    def test_integers_serve_float_fields_and_lists_tuple_fields(self):
+        config = {"threshold": 1, "datasets": ["net"], "expand": True, "k": 4}
+        assert cli._fields(config, cli.CONFIG_FIELDS, pipeline.PipelineConfig) == {
+            "lexicon_threshold": 1, "datasets": ("net",), "expand_with_embedding": True,
+            "k_topics": 4,
+        }
+
+    def test_bundle_meta_must_be_an_object(self, work, trained, tmp_path, capsys):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained, bundle)
+        (bundle / "train_meta.json").write_text("[1]\n")
+        shares = tmp_path / "shares.jsonl"
+        shares.write_text(json.dumps({
+            "user_id": "u00000", "url": "https://www.bbc.co.uk/sport/football/9",
+        }) + "\n")
+        common = {"tweets": work["tweets"], "friends": work["friends"], "model_dir": str(bundle)}
+        for subcommand, extra in (("predict", {}), ("newsstudy", {"shares": str(shares)})):
+            assert _run(tmp_path, subcommand, {
+                **common, **extra, "out": str(tmp_path / subcommand),
+            }) == 2
+            assert ("config error: field 'model_dir': train_meta.json must be a JSON object"
+                    in capsys.readouterr().err)
+
 
 class TestStageErrors:
     def test_lexicon_without_window_coverage_fails_cleanly(self, tmp_path):
@@ -722,6 +774,24 @@ class TestStageErrors:
         assert code == 1
         assert "inside and outside election windows" in caplog.text
 
+    def test_ingest_skips_bytes_that_are_not_utf8(self, work, tmp_path, caplog):
+        tweets, vaa = tmp_path / "tweets.jsonl", tmp_path / "vaa.csv"
+        with open(work["tweets"], "rb") as fh:
+            tweets.write_bytes(fh.read() + b'{"user_id": "u\xff", "text": "hi"}\n')
+        with open(work["vaa"], "rb") as fh:
+            vaa.write_bytes(fh.read() + b"u\xff,SYN,Labour,40.00\r\n")
+        out = tmp_path / "ingested"
+        with caplog.at_level(logging.INFO, logger="polilean"):
+            assert _run(tmp_path, "ingest", {
+                "tweets": str(tweets), "vaa": str(vaa), "out": str(out), **COMMON,
+            }) == 0
+        for path in (tweets, vaa):
+            (summary,) = [r.getMessage() for r in caplog.records
+                          if r.getMessage().startswith(f"{path}: ")]
+            assert summary.endswith(" kept, 1 skipped, 1 invalid UTF-8")
+        with open(out / "ingest_summary.json") as fh:
+            assert json.load(fh)["n_users_kept"] == 60
+
     def test_repeated_network_column_is_refused(self, work, trained, tmp_path):
         bundle = tmp_path / "bundle"
         shutil.copytree(trained, bundle)
@@ -737,3 +807,58 @@ class TestStageErrors:
             "model_dir": str(bundle), "out": str(out),
         }) == 1
         assert not os.path.exists(out / "predictions.csv")
+
+
+def test_artifacts_are_rfc4180_csv_and_sorted_indented_json(work, tmp_path):
+    """One labelled user id and one followed account hold a comma; every
+    CSV the chain writes must still parse into rows as wide as its first
+    row, with CRLF line ends, and every JSON artifact but the compact
+    classifier.json must be in the one key-sorted, indented format."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("tweets.jsonl", "friends.jsonl"):
+        with open(os.path.join(work["data"], name)) as fh:
+            text = fh.read()
+        text = text.replace('"u00003"', '"u00003,x"').replace('"acct000"', '"acct,000"')
+        (data / name).write_text(text)
+    with open(work["vaa"], newline="") as src, open(data / "vaa.csv", "w", newline="") as dst:
+        csv.writer(dst).writerows(
+            [("u00003,x" if cell == "u00003" else cell) for cell in row] for row in csv.reader(src)
+        )
+    (data / "shares.jsonl").write_text("".join(json.dumps({
+        "user_id": uid, "url": "https://www.theguardian.com/politics/2018/jun/1/x",
+    }) + "\n" for uid in ("u00000", "u00003,x", "u00004")))
+    tweets, vaa = str(data / "tweets.jsonl"), str(data / "vaa.csv")
+    friends, model = str(data / "friends.jsonl"), str(tmp_path / "train")
+    for subcommand, config in [
+        ("ingest", {"tweets": tweets, "vaa": vaa}),
+        ("lexicon", {"tweets": tweets}),
+        ("dfm", {"tweets": tweets, "vaa": vaa, "friends": friends}),
+        ("topics", {"tweets": tweets, "vaa": vaa}),
+        ("train", {"tweets": tweets, "vaa": vaa, "friends": friends,
+                   "dataset": "non-pol+net", "family": "SVM_poly"}),
+        ("predict", {"tweets": tweets, "friends": friends, "model_dir": model}),
+        ("newsstudy", {"tweets": tweets, "friends": friends, "model_dir": model,
+                       "shares": str(data / "shares.jsonl")}),
+        ("eval", {"tweets": tweets, "vaa": vaa, "friends": friends,
+                  "datasets": ["non-pol+net"], "families": ["SVM_poly"]}),
+    ]:
+        out = str(tmp_path / subcommand)
+        assert _run(tmp_path, subcommand, {**config, **COMMON, "out": out}) == 0, subcommand
+
+    outputs = [str(p) for p in tmp_path.glob("*/*")]
+    outputs += [os.path.join(work["data"], name) for name in os.listdir(work["data"])]
+    cells = set()
+    for path in outputs:
+        if path.endswith(".csv"):
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8")
+            assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n"), path
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            assert {len(row) for row in rows} == {len(rows[0])}, path
+            cells.update(cell for row in rows for cell in row)
+        elif path.endswith(".json") and not path.endswith("classifier.json"):
+            with open(path) as fh:
+                text = fh.read()
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
+    assert {"u00003,x", "acct,000"} <= cells

@@ -25,7 +25,9 @@ from polilean.corpus import (
     platform_maxima,
     raw_score,
 )
+from polilean.newsstudy import load_patterns, load_share_events
 from polilean.polex import Lexicon
+from polilean.resources import url_patterns
 
 from conftest import make_tweet
 
@@ -249,6 +251,38 @@ class TestLoaderSummaries:
             load_friends(path)
         assert self._summary(caplog) == f"{path}: 1 records read, 1 kept, 0 skipped"
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+
+
+def _load_shares(path):
+    return load_share_events(path, load_patterns(url_patterns()))
+
+
+class TestBytesThatAreNotUtf8:
+    """Each loader logs, counts and skips a record holding a byte that is
+    not UTF-8, and loads the records around it with their line numbers
+    whether lines end in LF or CRLF."""
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("load, header, line", [
+        (load_tweets, None, '{"user_id": "%s", "timestamp": "2015-05-01T10:00:00Z", "text": "hi"}'),
+        (load_friends, None, '{"user_id": "%s", "friends": ["a"]}'),
+        (_load_shares, None, '{"user_id": "%s", "url": "https://www.bbc.co.uk/sport/1"}'),
+        (load_vaa_results, "user_id,vaa,party,match", "%s,P1,Conservative,60"),
+    ], ids=["tweets", "friends", "shares", "vaa"])
+    def test_record_is_skipped(self, tmp_path, caplog, load, header, line, newline):
+        lines = [(line % uid).encode() for uid in ("u1", "u2", "u3")]
+        lines[1] = lines[1].replace(b"u2", b"u\xff2")
+        if header:
+            lines.insert(0, header.encode())
+        path = tmp_path / "input"
+        path.write_bytes(b"".join(ln + newline for ln in lines))
+        with caplog.at_level(logging.INFO, logger="polilean"):
+            records = load(path)
+        ids = list(records) if isinstance(records, dict) else [r.user_id for r in records]
+        assert ids == ["u1", "u3"]
+        assert f"{path} line {3 if header else 2}: skipped (" in caplog.text
+        (summary,) = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert summary == f"{path}: 3 records read, 2 kept, 1 skipped, 1 invalid UTF-8"
 
 
 class TestLeaningScores:

@@ -10,7 +10,7 @@ import pytest
 from polilean import cli, pipeline
 from polilean.resources import smart_stopwords
 from polilean.synthgen import SynthSpec, generate
-from polilean.textprep import build_ngrams, preprocess_tweet
+from polilean.textprep import ngram_strings, preprocess_tweet
 
 TINY = SynthSpec(
     n_users=60,
@@ -68,8 +68,8 @@ class TestFeatureCounts:
         assert all("_" not in feat for feat in counts)
 
 
-def _parent_build_ngrams(stems, orders):
-    """build_ngrams before it counted at C speed, kept as the oracle."""
+def _oracle_ngrams(stems, orders):
+    """Per-tweet n-gram counting before it ran at C speed, kept as the oracle."""
     grams = Counter()
     for n in orders:
         for i in range(len(stems) - n + 1):
@@ -81,7 +81,7 @@ def _parent_user_feature_counts(tweet_texts, stopwords, orders):
     """The per-tweet Counter merge before the C-speed counting."""
     counts = Counter()
     for text in tweet_texts:
-        counts.update(_parent_build_ngrams(preprocess_tweet(text, stopwords), orders))
+        counts.update(_oracle_ngrams(preprocess_tweet(text, stopwords), orders))
     return counts
 
 
@@ -114,8 +114,8 @@ class TestFeatureCountsMatchOracle:
             assert list(got.items()) == list(want.items())
             for text in tweets[:5]:
                 stems = preprocess_tweet(text, stopwords)
-                assert list(build_ngrams(stems, orders).items()) == list(
-                    _parent_build_ngrams(stems, orders).items())
+                assert list(Counter(ngram_strings(stems, orders)).items()) == list(
+                    _oracle_ngrams(stems, orders).items())
 
     def test_empty_document(self):
         assert pipeline.user_feature_counts([], frozenset()) == Counter()

@@ -11,8 +11,8 @@ from polilean.textprep import (
     SparseDFM,
     build_dfm,
     build_network_matrix,
-    build_ngrams,
     load_dfm,
+    ngram_strings,
     preprocess_tweet,
     remove_stopwords,
     save_dfm,
@@ -77,26 +77,26 @@ class TestStopwordsAndPreprocess:
 
 class TestNgrams:
     def test_hand_counts(self):
-        grams = build_ngrams(["a", "b", "c"])
+        grams = Counter(ngram_strings(["a", "b", "c"]))
         assert grams == Counter(
             {"a": 1, "b": 1, "c": 1, "a_b": 1, "b_c": 1, "a_b_c": 1}
         )
 
     def test_repeated_tokens_accumulate(self):
-        grams = build_ngrams(["x", "x", "x"], orders=(1, 2))
+        grams = Counter(ngram_strings(["x", "x", "x"], orders=(1, 2)))
         assert grams == Counter({"x": 3, "x_x": 2})
 
     def test_orders_subset(self):
-        assert build_ngrams(["a", "b"], orders=(2,)) == Counter({"a_b": 1})
+        assert Counter(ngram_strings(["a", "b"], orders=(2,))) == Counter({"a_b": 1})
 
     def test_short_input(self):
-        assert build_ngrams([], orders=(1, 2, 3)) == Counter()
-        assert build_ngrams(["solo"], orders=(1, 2, 3)) == Counter({"solo": 1})
+        assert Counter(ngram_strings([], orders=(1, 2, 3))) == Counter()
+        assert Counter(ngram_strings(["solo"], orders=(1, 2, 3))) == Counter({"solo": 1})
 
     def test_grams_never_cross_tweets(self):
         # two tweets processed separately share no bigram
-        a = build_ngrams(["end"], orders=(1, 2))
-        b = build_ngrams(["start"], orders=(1, 2))
+        a = Counter(ngram_strings(["end"], orders=(1, 2)))
+        b = Counter(ngram_strings(["start"], orders=(1, 2)))
         assert "end_start" not in (a + b)
 
 
