@@ -389,15 +389,26 @@ def _bundle_meta(config) -> tuple[dict, list[str]]:
                 raise ConfigError(f"field 'model_dir': missing {name}")
         return paths
 
-    with open(required(pipeline.Blocks(None, False))["train_meta.json"]) as fh:
-        meta = json.load(fh)
-    if not isinstance(meta, dict):
-        raise ConfigError("field 'model_dir': train_meta.json must be a JSON object")
+    meta = _bundle_json(required(pipeline.Blocks(None, False))["train_meta.json"])
     if meta.get("dataset") not in pipeline.DATASETS:
         raise ConfigError(
             f"field 'model_dir': unknown dataset {meta.get('dataset')!r} in train_meta.json"
         )
     return meta, list(required(pipeline.DATASETS[meta["dataset"]]).values())
+
+
+def _bundle_json(path) -> dict:
+    """The JSON object in a bundle file; anything else is a config error
+    that names the file."""
+    name = os.path.basename(path)
+    with open(path, "rb") as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ConfigError(f"field 'model_dir': {name} is not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"field 'model_dir': {name} must be a JSON object")
+    return obj
 
 
 def _predict_users(config, meta, users, tau) -> list[classify.Prediction]:
@@ -426,8 +437,10 @@ def _prediction_features(config, model_dir, dataset, docs, user_ids):
         counts = pipeline.side_counts(docs, user_ids, blocks.text)
         text = pipeline.fold_in_users(counts, tmodel)
     if blocks.net:
-        with open(paths["network_columns.json"]) as fh:
-            columns = json.load(fh)["columns"]
+        columns = _bundle_json(paths["network_columns.json"]).get("columns")
+        if not (isinstance(columns, list) and all(isinstance(c, str) for c in columns)):
+            raise ConfigError("field 'model_dir': network_columns.json must hold "
+                              "a \"columns\" list of account names")
         friends = load_friends(config["friends"]) if config.get("friends") else {}
         net = pipeline.align_network(friends, user_ids, columns)
     return pipeline.join_features(user_ids, text, net)

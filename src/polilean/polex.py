@@ -164,6 +164,13 @@ def expand_lexicon(
     import numpy as np
 
     vocab_index = {w: i for i, w in enumerate(emb.vocab)}
+    # each word's lexicographic rank (the inverse of the sorting order), the tie-breaking key
+    rank = np.argsort(sorted(range(len(emb.vocab)), key=emb.vocab.__getitem__))
+    candidates = np.array(
+        [i for i, w in enumerate(emb.vocab) if w not in seeds.terms and w not in denylist],
+        dtype=np.intp,
+    )
+    candidate_rank = rank[candidates]
     expansions: set[str] = set()
     for seed in sorted(seeds.terms):
         i = vocab_index.get(seed)
@@ -171,13 +178,8 @@ def expand_lexicon(
             continue
         deltas = emb.vectors - emb.vectors[i]
         dists = np.sqrt((deltas * deltas).sum(axis=1))
-        candidates = [
-            j
-            for j in range(len(emb.vocab))
-            if emb.vocab[j] not in seeds.terms and emb.vocab[j] not in denylist
-        ]
-        candidates.sort(key=lambda j: (dists[j], emb.vocab[j]))
-        expansions.update(emb.vocab[j] for j in candidates[:k])
+        nearest = candidates[np.lexsort((candidate_rank, dists[candidates]))[:k]]
+        expansions.update(emb.vocab[j] for j in nearest.tolist())
     terms = seeds.terms | expansions
     provenance = dict(seeds.provenance)
     for t in expansions:

@@ -740,6 +740,33 @@ class TestConfigErrors:
             assert ("config error: field 'model_dir': train_meta.json must be a JSON object"
                     in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("train_meta.json", '{"dataset": ', "train_meta.json is not valid JSON"),
+        ("train_meta.json", b'{"dataset": "non-pol\xff"}', "train_meta.json is not valid JSON"),
+        ("network_columns.json", '["acct_000"]\n', "network_columns.json must be a JSON object"),
+        ("network_columns.json", '{"columns": [', "network_columns.json is not valid JSON"),
+        ("network_columns.json", '{"columns": "acct_000"}\n',
+         'network_columns.json must hold a "columns" list of account names'),
+        ("network_columns.json", '{"columns": [1, 2]}\n',
+         'network_columns.json must hold a "columns" list of account names'),
+    ], ids=["meta-truncated", "meta-not-utf8", "columns-in-a-list", "columns-truncated",
+            "columns-a-string", "columns-not-names"])
+    def test_unreadable_bundle_file_names_the_file(self, work, trained, tmp_path, capsys,
+                                                     name, text, message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained, bundle)
+        if isinstance(text, bytes):
+            (bundle / name).write_bytes(text)
+        else:
+            (bundle / name).write_text(text)
+        out = tmp_path / "p"
+        assert _run(tmp_path, "predict", {
+            "tweets": work["tweets"], "friends": work["friends"],
+            "model_dir": str(bundle), "out": str(out),
+        }) == 2
+        assert f"config error: field 'model_dir': {message}" in capsys.readouterr().err
+        assert not os.path.exists(out / "predictions.csv")
+
 
 class TestStageErrors:
     def test_lexicon_without_window_coverage_fails_cleanly(self, tmp_path):

@@ -1,11 +1,16 @@
 """Skip-gram embedding: gradient correctness and training behavior."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from polilean.skipgram import Embedding, pair_loss_and_grads, train_skipgram
+import polilean
+from polilean import skipgram
+from polilean.skipgram import Embedding, batch_update, pair_loss_and_grads, train_skipgram
 
 
 def _fd_grad(f, x, eps=1e-6):
@@ -99,10 +104,9 @@ class TestTraining:
 
 
 def _per_pair_train_skipgram(corpus, window, min_freq, dim, negatives, epochs, lr, seed):
-    """The per-pair trainer the per-sentence one replaced, kept as the
-    oracle: one Generator.choice(p=noise) and one np.subtract.at per
-    pair. Returns the vectors and the number of pairs that drew a
-    repeated negative id."""
+    """Per-pair SGD, kept as the oracle: one Generator.choice(p=noise)
+    and one np.subtract.at per pair. Returns the vectors and the number
+    of pairs that drew a repeated negative id."""
     freq = Counter(t for sent in corpus for t in sent)
     vocab = tuple(sorted(w for w, n in freq.items() if n >= min_freq))
     index = {w: i for i, w in enumerate(vocab)}
@@ -164,15 +168,80 @@ class TestAgreesWithPerPairTrainer:
     ]
 
     @pytest.mark.parametrize("config", CONFIGS)
-    def test_vectors_are_identical(self, config):
+    def test_batch_of_one_pair_agrees(self, config, monkeypatch):
         corpus_seed, vocab_size, window, dim, negatives, epochs = config
         corpus = _random_corpus(corpus_seed, vocab_size)
         kw = dict(window=window, min_freq=3, dim=dim, negatives=negatives,
                   epochs=epochs, lr=0.05, seed=corpus_seed)
         expected, repeated = _per_pair_train_skipgram(corpus, **kw)
+        monkeypatch.setattr(skipgram, "BATCH_PAIRS", 1)
         emb = train_skipgram(corpus, **kw)
-        np.testing.assert_array_equal(emb.vectors, expected)
+        np.testing.assert_allclose(emb.vectors, expected, rtol=0, atol=1e-12)
         in_vocab = [[t for t in s if t in emb.vocab] for s in corpus]
         assert any(len(s) < 2 for s in in_vocab) and any(len(s) >= 2 for s in in_vocab)
-        # with more than one negative, some pairs took the np.subtract.at branch
+        # with more than one negative, some pairs drew a repeated negative id
         assert (repeated > 0) == (negatives > 1)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_batches_do_not_depend_on_pair_blocks(self, config, monkeypatch):
+        # blocks of a few tokens cut the pairs of one batch across many
+        # blocks; the batches, and so the vectors, stay the same
+        corpus_seed, vocab_size, window, dim, negatives, epochs = config
+        corpus = _random_corpus(corpus_seed, vocab_size)
+        kw = dict(window=window, min_freq=3, dim=dim, negatives=negatives,
+                  epochs=epochs, lr=0.05, seed=corpus_seed)
+        monkeypatch.setattr(skipgram, "BATCH_PAIRS", 7)
+        whole = train_skipgram(corpus, **kw)
+        monkeypatch.setattr(skipgram, "_BLOCK_TOKENS", 3)
+        np.testing.assert_array_equal(train_skipgram(corpus, **kw).vectors, whole.vectors)
+
+
+class TestBatchUpdate:
+    def test_repeated_rows_receive_the_sum_of_their_gradients(self):
+        rng = np.random.default_rng(5)
+        w_in = rng.normal(size=(3, 4))
+        w_out = rng.normal(size=(5, 4))
+        # w_in row 0 is the centre of two triples; w_out row 2 is the
+        # first triple's context and twice the second's negative, and row 4
+        # is the third triple's context and a negative of the first and third
+        centers = np.array([0, 0, 1])
+        contexts = np.array([2, 3, 4])
+        neg_ids = np.array([[4, 1], [2, 2], [4, 0]])
+        lr = 0.1
+        expected_in, expected_out, expected_loss = w_in.copy(), w_out.copy(), 0.0
+        for c, o, negs in zip(centers, contexts, neg_ids):
+            loss, g_c, g_o, g_n = pair_loss_and_grads(w_in[c], w_out[o], w_out[negs])
+            expected_loss += loss
+            expected_in[c] -= lr * g_c
+            expected_out[o] -= lr * g_o
+            for j, g in zip(negs, g_n):
+                expected_out[j] -= lr * g
+
+        loss = batch_update(w_in, w_out, centers, contexts, neg_ids, lr)
+
+        np.testing.assert_allclose(w_in, expected_in, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w_out, expected_out, rtol=0, atol=1e-14)
+        assert loss == pytest.approx(expected_loss, rel=1e-14)
+
+
+_HASH_SEED_RUN = """
+from polilean.skipgram import train_skipgram
+words = [f"w{i}" for i in range(12)]
+corpus = [[words[(i * 7 + j * j) % 12] for j in range(i % 5 + 1)] for i in range(200)]
+emb = train_skipgram(corpus, window=2, min_freq=5, dim=6, negatives=3, epochs=2, seed=4)
+print(repr(emb.vocab))
+print(emb.vectors.tobytes().hex())
+"""
+
+
+def test_vectors_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polilean.__file__)))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _HASH_SEED_RUN], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith("('w0', ")
