@@ -291,11 +291,8 @@ def cmd_eval(config, out):
     cfg = _pipeline_config(config)
     if any(pipeline.DATASETS[d].net for d in cfg.datasets) and not config.get("friends"):
         raise ConfigError("field 'friends': required for network datasets")
-    report = pipeline.run_pipeline(
-        config["tweets"], config["vaa"], config.get("friends"), cfg
-    )
-    bundle = report.pop("_bundle")
-    samples = report.pop("_sample_objects")
+    bundle = pipeline.load_corpus(config["tweets"], config["vaa"], config.get("friends"), cfg)
+    report, samples = pipeline.evaluate(bundle, cfg)
 
     report_path = os.path.join(out, "eval_report.json")
     resources.write_json(report_path, report)
@@ -400,14 +397,10 @@ def _bundle_meta(config) -> tuple[dict, list[str]]:
 def _bundle_json(path) -> dict:
     """The JSON object in a bundle file; anything else is a config error
     that names the file."""
-    name = os.path.basename(path)
-    with open(path, "rb") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise ConfigError(f"field 'model_dir': {name} is not valid JSON ({exc})") from None
+    with open(path, "rb") as fh, resources.parsing(path, "JSON"):
+        obj = json.load(fh)
     if not isinstance(obj, dict):
-        raise ConfigError(f"field 'model_dir': {name} must be a JSON object")
+        raise ConfigError(f"field 'model_dir': {os.path.basename(path)} must be a JSON object")
     return obj
 
 
@@ -560,6 +553,9 @@ def main(argv=None) -> int:
         _write_manifest(out, args.subcommand, _public(config), inputs, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except resources.FileFormatError as exc:  # the only files read back are a bundle's
+        print(f"config error: field 'model_dir': {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:  # stage failure
         logger.error("%s", exc, exc_info=args.verbose)

@@ -352,18 +352,10 @@ def evaluate_sample(
     )
 
 
-def run_pipeline(
-    tweets_path,
-    vaa_path,
-    friends_path,
-    cfg: PipelineConfig,
-) -> dict:
-    """Full run; returns a report dict with per-sample and mean metrics."""
-    bundle = load_corpus(tweets_path, vaa_path, friends_path, cfg)
-    samples = []
-    for s in range(cfg.n_samples):
-        samples.append(evaluate_sample(bundle, cfg, cfg.seed + s))
-
+def evaluate(bundle: CorpusBundle, cfg: PipelineConfig) -> tuple[dict, list[SampleEvaluation]]:
+    """Every balanced sample of a loaded corpus; returns the report dict,
+    with per-sample and mean metrics, and the samples."""
+    samples = [evaluate_sample(bundle, cfg, cfg.seed + s) for s in range(cfg.n_samples)]
     mean: dict[str, dict[str, dict[str, float]]] = {}
     for dataset in cfg.datasets:
         mean[dataset] = {}
@@ -383,6 +375,9 @@ def run_pipeline(
         "mean": mean,
         "lexicon_size": len(bundle.lexicon),
         "n_labeled_users": len(bundle.labels),
-        "_bundle": bundle,
-        "_sample_objects": samples,
-    }
+    }, samples
+
+
+def run_pipeline(tweets_path, vaa_path, friends_path, cfg: PipelineConfig) -> dict:
+    """Full run; returns the report dict of `evaluate`."""
+    return evaluate(load_corpus(tweets_path, vaa_path, friends_path, cfg), cfg)[0]

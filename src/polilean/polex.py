@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .corpus import Tweet
-from .resources import write_json
+from .resources import parsing, write_json
 from .textprep import tokenize_matching
 
 logger = logging.getLogger(__name__)
@@ -49,7 +49,7 @@ class Lexicon:
 
     @classmethod
     def load(cls, path) -> "Lexicon":
-        with open(path) as fh:
+        with open(path) as fh, parsing(path, "JSON"):
             entries = json.load(fh)
         terms = frozenset(e["term"] for e in entries)
         scores = {e["term"]: e["rho"] for e in entries if e.get("rho") is not None}

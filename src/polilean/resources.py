@@ -1,8 +1,11 @@
-"""Loaders for data files shipped with the package, and the one writer
-of each artifact format: key-sorted indented JSON and RFC 4180 CSV."""
+"""Loaders for data files shipped with the package, the one writer of
+each artifact format (key-sorted indented JSON and RFC 4180 CSV) and
+its error for a saved file that does not parse."""
 
+import contextlib
 import csv
 import json
+import os
 from collections.abc import Iterable, Sequence
 from datetime import datetime, timezone
 from importlib import resources
@@ -62,3 +65,16 @@ def write_csv(path, rows: Iterable[Sequence]) -> None:
     fields quoted where needed, every line ending in CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
+
+
+class FileFormatError(ValueError):
+    """A file that does not parse; the message names it."""
+
+
+@contextlib.contextmanager
+def parsing(path, kind: str):
+    """Raise a ValueError in the block as a FileFormatError naming the file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FileFormatError(f"{os.path.basename(path)} is not valid {kind} ({exc})") from None

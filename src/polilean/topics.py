@@ -2,9 +2,9 @@
 
 Pipeline: word co-occurrence matrix -> greedy anchor selection on the
 row-normalized matrix -> simplex-constrained least squares for every
-word, solved as one batch, to recover the topic-word matrix beta ->
-per-document topic proportions by EM folding-in. Word rankings (FREX /
-LIFT / Score) and a per-topic prevalence regression against the
+word, solved exactly in one batch, to recover the topic-word matrix
+beta -> per-document topic proportions by EM folding-in. Word rankings
+(FREX / LIFT / Score) and a per-topic prevalence regression against the
 Left/Right label round things out.
 """
 
@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .resources import write_csv, write_json
+from .resources import parsing, write_csv, write_json
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
 
 EPS = 1e-10
+
+ZERO = 1e-12  # a KKT violation below this share of a row's gradient scale is rounding
 
 # a word must occur in at least this many documents to be an anchor
 ANCHOR_DOC_FLOOR = 2
@@ -124,84 +126,71 @@ def find_anchors(
     return anchors
 
 
-def _simplex_lsq(
-    x: np.ndarray, a: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize ||x_i - c_i @ a||^2 over the probability simplex for every
-    row x_i of x, by exponentiated gradient with backtracking on the step
-    size.
+def _simplex_lsq(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The exact argmin of ||x_i - c_i @ a||^2 over the probability simplex
+    for every row x_i of x, by a primal active-set (Lawson-Hanson) method
+    run on all rows at once from each row's best vertex.
 
-    Rows are independent: each keeps its own step size, backtracks on its
-    own and stops once its coefficients move by less than tol. Returns the
-    coefficients (one row per row of x) and a mask of the rows that were
-    still moving after max_iter steps.
+    Each step solves every moving row's KKT system on its free set, with
+    identity rows pinning the other coordinates at zero, in one batched
+    solve. A row blocked by a negative coordinate steps until one reaches
+    zero and drops it; a row whose solution is feasible takes it and adds
+    its most violated coordinate, or ends. It terminates: a row drops
+    coordinates at most k steps running, and the objective where it takes
+    a solution depends only on the free set and must fall each time, or
+    the row ends.
     """
     n, k = x.shape[0], a.shape[0]
-    c = np.full((n, k), 1.0 / k)
-    ata = a @ a.T
-    atx = x @ a.T
-    eta = np.full(n, 50.0)
-
-    def loss(rows, coef):
-        return np.einsum("nk,nk->n", coef @ ata, coef) - 2.0 * np.einsum(
-            "nk,nk->n", coef, atx[rows]
-        )
-
-    cur = loss(np.arange(n), c)
-    active = np.ones(n, dtype=bool)
-    for _ in range(max_iter):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        c_a = c[rows]
-        grad = 2.0 * (c_a @ ata - atx[rows])
-        # a per-row shift, which normalization cancels; shifting by the
-        # minimum keeps every exponent <= 0, so exp cannot overflow
-        grad -= grad.min(axis=1, keepdims=True)
-        trial = np.empty_like(c_a)
-        trial_loss = np.empty(rows.size)
-        search = np.arange(rows.size)  # positions in rows still backtracking
-        while search.size:
-            r = rows[search]
-            t = c_a[search] * np.exp(-eta[r, None] * grad[search])
-            t /= t.sum(axis=1, keepdims=True)
-            t_loss = loss(r, t)
-            done = (t_loss <= cur[r] + 1e-15) | (eta[r] < 1e-6)
-            trial[search[done]] = t[done]
-            trial_loss[search[done]] = t_loss[done]
-            eta[r[~done]] *= 0.5
-            search = search[~done]
-        delta = np.abs(trial - c_a).max(axis=1)
-        c[rows] = trial
-        cur[rows] = trial_loss
-        active[rows[delta < tol]] = False
-    return c, active
+    gram = a @ a.T
+    b = x @ a.T
+    scale = np.abs(gram).max() + np.abs(b).max(axis=1)
+    c = np.eye(k)[np.argmin(np.diag(gram) - 2.0 * b, axis=1)]
+    free = c > 0
+    last = np.full(n, np.inf)  # objective where each row last took its solution
+    rows, z = np.arange(n), c.copy()
+    while rows.size:
+        out = free[rows] & (z < 0)
+        blocked = out.any(axis=1)
+        m = rows[blocked]
+        cm, zm, om = c[m], z[blocked], out[blocked]
+        ratio = np.where(om, cm, np.inf) / np.where(om, cm - zm, 1.0)
+        alpha = ratio.min(axis=1, keepdims=True)
+        c[m] = np.where(ratio > alpha, np.maximum(cm + alpha * (zm - cm), 0.0), 0.0)
+        free[m] &= c[m] > 0
+        p = rows[~blocked]
+        c[p] = z[~blocked]
+        grad = c[p] @ gram - b[p]
+        obj = np.einsum("nk,nk->n", grad - b[p], c[p])
+        price = np.where(free[p], np.inf, grad)
+        j = price.argmin(axis=1)
+        floor = np.where(free[p], grad, np.inf).min(axis=1) - ZERO * scale[p]
+        add = (price[np.arange(p.size), j] < floor) & (obj < last[p])
+        last[p] = obj
+        free[p[add], j[add]] = True
+        rows = np.union1d(m, p[add])
+        f = free[rows]
+        kkt = np.zeros((rows.size, k + 1, k + 1))
+        kkt[:, :k, :k] = np.where(f[:, :, None] & f[:, None, :], gram, np.eye(k))
+        kkt[:, :k, k] = kkt[:, k, :k] = f
+        rhs = np.append(np.where(f, b[rows], 0.0), np.ones((rows.size, 1)), axis=1)
+        z = np.where(f, np.linalg.solve(kkt, rhs[..., None])[:, :k, 0], 0.0)
+    return c
 
 
 def recover_beta(
-    q_row: np.ndarray,
-    anchors: Sequence[int],
-    word_prob: np.ndarray,
-    tol: float = 1e-7,
-    max_iter: int = 500,
+    q_row: np.ndarray, anchors: Sequence[int], word_prob: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Topic-word matrix from anchor rows.
 
-    Each word's normalized co-occurrence row is expressed as a convex
-    combination c_v of the anchor rows (c_{v,k} = p(topic k | word v));
-    the Bayes flip beta_{k,v} proportional to c_{v,k} * p(word v) then
-    yields row-stochastic beta. All non-anchor words are solved in one
-    batch. Returns (beta, per-word residual norms).
+    Each word's normalized co-occurrence row is expressed as the convex
+    combination c_v of the anchor rows nearest it (c_{v,k} = p(topic k |
+    word v)), solved exactly for all words in one batch; an anchor word
+    is its own nearest vertex. The Bayes flip beta_{k,v} proportional to
+    c_{v,k} * p(word v) then yields row-stochastic beta. Returns (beta,
+    per-word residual norms).
     """
-    anchors = list(anchors)
-    a = q_row[anchors]
-    v = q_row.shape[0]
-    k = len(anchors)
-    coef = np.zeros((v, k))
-    coef[anchors, np.arange(k)] = 1.0
-    words = np.setdiff1d(np.arange(v), anchors)
-    coef[words], capped = _simplex_lsq(q_row[words], a, tol, max_iter)
-    logger.info("%d of %d words stopped at max_iter=%d", int(capped.sum()), v, max_iter)
+    a = q_row[list(anchors)]
+    coef = _simplex_lsq(q_row, a)
     residuals = np.linalg.norm(q_row - coef @ a, axis=1)
     worst = residuals.max(initial=0.0)
     if worst > 0.5:
@@ -358,9 +347,9 @@ def save_topic_model(model: TopicModel, header_path, beta_path) -> None:
 
 
 def load_topic_model(header_path, beta_path) -> TopicModel:
-    with open(header_path) as fh:
+    with open(header_path) as fh, parsing(header_path, "JSON"):
         header = json.load(fh)
-    with open(beta_path, newline="") as fh:
+    with open(beta_path, newline="") as fh, parsing(beta_path, "CSV of numbers"):
         beta = np.array([[float(x) for x in row] for row in csv.reader(fh)])
     return TopicModel(
         beta,

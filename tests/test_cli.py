@@ -9,12 +9,15 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+import polilean
 from polilean import classify, cli, newsstudy, pipeline, resources
 from polilean.corpus import Tweet, UserRecord, assemble_documents, group_tweets, load_friends, load_tweets
 from polilean.newsstudy import project_features
@@ -749,8 +752,13 @@ class TestConfigErrors:
          'network_columns.json must hold a "columns" list of account names'),
         ("network_columns.json", '{"columns": [1, 2]}\n',
          'network_columns.json must hold a "columns" list of account names'),
+        ("lexicon.json", '{"x": ', "lexicon.json is not valid JSON"),
+        ("classifier.json", '{"x": ', "classifier.json is not valid JSON"),
+        ("topic_model.json", '{"x": ', "topic_model.json is not valid JSON"),
+        ("topic_beta.csv", '{"x": ', "topic_beta.csv is not valid CSV of numbers"),
     ], ids=["meta-truncated", "meta-not-utf8", "columns-in-a-list", "columns-truncated",
-            "columns-a-string", "columns-not-names"])
+            "columns-a-string", "columns-not-names", "lexicon-truncated",
+            "classifier-truncated", "topic-model-truncated", "topic-beta-truncated"])
     def test_unreadable_bundle_file_names_the_file(self, work, trained, tmp_path, capsys,
                                                      name, text, message):
         bundle = tmp_path / "bundle"
@@ -889,3 +897,15 @@ def test_artifacts_are_rfc4180_csv_and_sorted_indented_json(work, tmp_path):
                 text = fh.read()
             assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", path
     assert {"u00003,x", "acct,000"} <= cells
+
+
+def test_importing_the_cli_loads_neither_scipy_optimize_nor_scipy_linalg():
+    # every run imports the CLI's modules; scipy.optimize alone adds about
+    # 26 MiB and scipy.linalg about 7.5 MiB to a process's peak RSS
+    src = os.path.dirname(os.path.dirname(os.path.abspath(polilean.__file__)))
+    code = ("import sys, polilean.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

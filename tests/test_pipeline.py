@@ -154,12 +154,13 @@ class TestCountOncePerCorpus:
         cfg = dataclasses.replace(
             TINY_CFG, n_samples=3, datasets=("pol", "non-pol"), families=("NB",)
         )
-        report = pipeline.run_pipeline(
+        bundle = pipeline.load_corpus(
             corpus.tweets_path, corpus.vaa_path, corpus.friends_path, cfg
         )
-        per_doc = calls.per_document(report["_bundle"])
+        _, samples = pipeline.evaluate(bundle, cfg)
+        per_doc = calls.per_document(bundle)
         sampled = set()
-        for s in report["_sample_objects"]:
+        for s in samples:
             sampled |= set(s.split[0]) | set(s.split[1])
         assert set(per_doc.values()) == {1}
         assert set(per_doc) == {
@@ -168,7 +169,7 @@ class TestCountOncePerCorpus:
             for uid in sampled
         }
         # three balanced samples reuse users, or the cache saves nothing
-        n_rows = sum(len(s.split[0]) + len(s.split[1]) for s in report["_sample_objects"])
+        n_rows = sum(len(s.split[0]) + len(s.split[1]) for s in samples)
         assert n_rows > len(sampled)
 
     def test_dfm_command_counts_each_user_once_per_side(self, corpus, monkeypatch, tmp_path):
@@ -335,17 +336,21 @@ class TestEvaluateSample:
 
 class TestRunPipeline:
     def test_report_structure_and_determinism(self, corpus):
-        report1 = pipeline.run_pipeline(
+        bundle = pipeline.load_corpus(
             corpus.tweets_path, corpus.vaa_path, corpus.friends_path, TINY_CFG
         )
+        report1, samples = pipeline.evaluate(bundle, TINY_CFG)
         report2 = pipeline.run_pipeline(
             corpus.tweets_path, corpus.vaa_path, corpus.friends_path, TINY_CFG
         )
         assert report1["mean"] == report2["mean"]
         assert report1["samples"] == report2["samples"]
         assert report1["lexicon_size"] >= 1
-        assert report1["n_labeled_users"] == len(report1["_bundle"].labels)
+        assert report1["n_labeled_users"] == len(bundle.labels)
         assert set(report1["mean"]) == set(TINY_CFG.datasets)
+        assert [s.metrics for s in samples] == [s["metrics"] for s in report1["samples"]]
+        # the report is the eval artifact: every key is written out
+        assert set(report1) == {"config", "samples", "mean", "lexicon_size", "n_labeled_users"}
 
     def test_mean_over_samples(self, corpus):
         cfg = pipeline.PipelineConfig(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polilean import pipeline, synthgen, topics
 from polilean.newsstudy import project_features
 from polilean.synthgen import class_mixtures, planted_dfm
 from polilean.textprep import SparseDFM
@@ -160,7 +161,8 @@ class TestRecoverBeta:
 
 
 def _per_word_simplex_lsq(x, a, tol=1e-7, max_iter=500):
-    """The per-word solver the batched one replaced, kept as the oracle.
+    """The per-word exponentiated-gradient solver that the exact one
+    replaced, kept as the reference no row's objective may exceed.
     Returns the coefficients and the final step size."""
     k = a.shape[0]
     c = np.full(k, 1.0 / k)
@@ -208,31 +210,86 @@ def _simplex_instance(seed):
     return np.vstack([words, *special]), a
 
 
+def _eval_null_fit(tmp_path, monkeypatch):
+    """The (word rows, anchor rows) of the non-pol topic fit on one
+    balanced sample of a signal-free corpus shaped like the benchmark's
+    eval_null workload."""
+    corpus = synthgen.generate(synthgen.SynthSpec(
+        n_users=120, vocab_size=100, tweets_per_user=(30, 40), class_topic_shift=0.0,
+        network_homophily=0.5, seed=7,
+    ), tmp_path)
+    cfg = pipeline.PipelineConfig(k_topics=10, datasets=("non-pol",), families=("NB",),
+                                  min_tweets=20)
+    bundle = pipeline.load_corpus(corpus.tweets_path, corpus.vaa_path, None, cfg)
+    calls = []
+
+    def record(x, a):
+        calls.append((x, a))
+        return _simplex_lsq(x, a)
+
+    monkeypatch.setattr(topics, "_simplex_lsq", record)
+    pipeline.evaluate_sample(bundle, cfg, 0)
+    [(x, a)] = calls
+    return x, a
+
+
+def _kkt_violation(x, a, coef):
+    """Largest breach of the simplex QP's KKT conditions over the rows,
+    relative to each row's gradient scale: the gradient is equal on the
+    support and no lower off it."""
+    gram, b = a @ a.T, x @ a.T
+    grad = coef @ gram - b
+    scale = np.abs(gram).max() + np.abs(b).max(axis=1)
+    top = np.where(coef > 0, grad, -np.inf).max(axis=1)
+    return float(((top - grad.min(axis=1)) / scale).max())
+
+
+def _objective(x, a, coef):
+    return ((x - coef @ a) ** 2).sum(axis=1)
+
+
 class TestBatchedSimplexSolver:
     @pytest.mark.parametrize("seed", range(8))
-    def test_agrees_with_the_per_word_solver(self, seed):
+    def test_every_row_meets_the_kkt_conditions(self, seed):
         x, a = _simplex_instance(seed)
+        coef = _simplex_lsq(x, a)
+        assert (coef >= 0).all()
+        np.testing.assert_allclose(coef.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert _kkt_violation(x, a, coef) < 1e-10
+
+    def test_kkt_conditions_on_an_eval_null_fit(self, tmp_path, monkeypatch):
+        x, a = _eval_null_fit(tmp_path, monkeypatch)
+        coef = _simplex_lsq(x, a)
+        assert (coef >= 0).all()
+        np.testing.assert_allclose(coef.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert _kkt_violation(x, a, coef) < 1e-10
         with np.errstate(over="ignore", invalid="ignore"):
-            coef, _ = _simplex_lsq(x, a, 1e-7, 500)
-            reference = [_per_word_simplex_lsq(row, a) for row in x]
-        np.testing.assert_allclose(coef, [c for c, _ in reference], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(coef.sum(axis=1), 1.0, atol=1e-12)
+            reference = np.array([_per_word_simplex_lsq(row, a)[0] for row in x])
+        assert (_objective(x, a, coef) <= _objective(x, a, reference)).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_no_objective_above_the_per_word_solvers(self, seed):
+        x, a = _simplex_instance(seed)
+        coef = _simplex_lsq(x, a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reference = np.array([_per_word_simplex_lsq(row, a)[0] for row in x])
+        assert (_objective(x, a, coef) <= _objective(x, a, reference)).all()
+
+    def test_an_exact_mixture_returns_its_mixture(self):
+        rng = np.random.default_rng(4)
+        a = rng.random((6, 40)) ** 3
+        a /= a.sum(axis=1, keepdims=True)
+        mixtures = rng.dirichlet(np.ones(6), size=5)
+        mixtures[0] = [0.0, 0.5, 0.0, 0.25, 0.25, 0.0]  # on a face of the simplex
+        coef = _simplex_lsq(mixtures @ a, a)
+        np.testing.assert_allclose(coef, mixtures, rtol=0, atol=1e-12)
 
     def test_one_word_alone_equals_it_in_the_batch(self):
         x, a = _simplex_instance(11)
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch, _ = _simplex_lsq(x, a, 1e-7, 500)
-            for i in (0, len(x) - 3, len(x) - 2, len(x) - 1):
-                alone, _ = _simplex_lsq(x[i : i + 1], a, 1e-7, 500)
-                np.testing.assert_allclose(alone[0], batch[i], rtol=0, atol=1e-13)
-
-    def test_rows_that_stop_are_not_capped(self):
-        x, a = _simplex_instance(3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, capped = _simplex_lsq(x, a, 1e-7, 500)
-            _, capped_at_one = _simplex_lsq(x, a, 1e-7, 1)
-        assert capped_at_one.all()
-        assert not capped[len(x) - 3]  # the zero row converges
+        batch = _simplex_lsq(x, a)
+        for i in range(len(x)):
+            np.testing.assert_allclose(_simplex_lsq(x[i : i + 1], a)[0], batch[i],
+                                       rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("scale", [1e11, 1e14])
     def test_a_huge_row_does_not_overflow(self, scale):
@@ -255,16 +312,6 @@ class TestBatchedSimplexSolver:
             plain[:, others] / plain[:, others].sum(axis=1, keepdims=True),
             rtol=0, atol=1e-14,
         )
-
-    def test_capped_words_are_logged(self, caplog):
-        x, _ = _simplex_instance(5)
-        q_row = np.vstack([x[:-3], np.eye(x.shape[1])[:3]])  # last three rows: anchors
-        anchors = [len(q_row) - 3, len(q_row) - 2, len(q_row) - 1]
-        word_prob = np.full(len(q_row), 1.0 / len(q_row))
-        with caplog.at_level(logging.INFO, logger="polilean.topics"):
-            recover_beta(q_row, anchors, word_prob, max_iter=1)
-        [message] = [r.message for r in caplog.records if "max_iter" in r.message]
-        assert message == f"{len(q_row) - 3} of {len(q_row)} words stopped at max_iter=1"
 
 
 class TestInferTheta:
