@@ -15,7 +15,7 @@ import numpy as np
 
 from . import nn as nn_mod
 from . import svm as svm_mod
-from .resources import parsing, write_csv
+from .resources import fields, parsing, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -261,8 +261,13 @@ def save_model(model: ClassifierModel, path) -> None:
 def load_model(path) -> ClassifierModel:
     with open(path) as fh, parsing(path, "JSON"):
         doc = json.load(fh)
-    if doc.get("format") != "classifier/1":
-        raise ValueError(f"unsupported model container {doc.get('format')!r}")
+    with fields(path):
+        return _model_from_doc(doc)
+
+
+def _model_from_doc(doc: dict) -> ClassifierModel:
+    if doc["format"] != "classifier/1":
+        raise ValueError(f"unsupported model container {doc['format']!r}")
     family = doc["family"]
     p = doc["params"]
     inner: Any

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime
 
 from .corpus import Tweet
-from .resources import parsing, write_json
+from .resources import fields, parsing, write_json
 from .textprep import tokenize_matching
 
 logger = logging.getLogger(__name__)
@@ -51,9 +51,10 @@ class Lexicon:
     def load(cls, path) -> "Lexicon":
         with open(path) as fh, parsing(path, "JSON"):
             entries = json.load(fh)
-        terms = frozenset(e["term"] for e in entries)
-        scores = {e["term"]: e["rho"] for e in entries if e.get("rho") is not None}
-        prov = {e["term"]: e["provenance"] for e in entries}
+        with fields(path):
+            terms = frozenset(e["term"] for e in entries)
+            scores = {e["term"]: e["rho"] for e in entries if e.get("rho") is not None}
+            prov = {e["term"]: e["provenance"] for e in entries}
         return cls(terms, scores, prov)
 
 

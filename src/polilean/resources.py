@@ -1,6 +1,6 @@
 """Loaders for data files shipped with the package, the one writer of
 each artifact format (key-sorted indented JSON and RFC 4180 CSV) and
-its error for a saved file that does not parse."""
+its error for a saved file that does not parse or lacks a field."""
 
 import contextlib
 import csv
@@ -68,7 +68,7 @@ def write_csv(path, rows: Iterable[Sequence]) -> None:
 
 
 class FileFormatError(ValueError):
-    """A file that does not parse; the message names it."""
+    """A file that does not parse, or lacks a field; the message names it."""
 
 
 @contextlib.contextmanager
@@ -78,3 +78,16 @@ def parsing(path, kind: str):
         yield
     except ValueError as exc:
         raise FileFormatError(f"{os.path.basename(path)} is not valid {kind} ({exc})") from None
+
+
+@contextlib.contextmanager
+def fields(path):
+    """Raise a missing or malformed field read in the block from a parsed
+    file as a FileFormatError naming the file."""
+    name = os.path.basename(path)
+    try:
+        yield
+    except KeyError as exc:
+        raise FileFormatError(f"{name} lacks the field {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"{name} has a malformed field ({exc})") from None

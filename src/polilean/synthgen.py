@@ -5,9 +5,41 @@ to Dirichlet topic priors, documents are sampled from a planted
 separable topic-word matrix (one anchor word per topic), a political
 sub-vocabulary fires preferentially inside election windows, and the
 friend graph follows class hubs with configurable homophily.
+
+Random-stream contract of ``generate``: the files are a function of the
+spec alone, and the golden digests in ``tests/test_synthgen.py`` pin
+their bytes.  ``SeedSequence(seed).spawn(4)`` gives four streams:
+
+0. global: β (``make_beta``), then the Right users (one permutation);
+1. tweets: one child seed per user, spawned in user order;
+2. follows: one child seed per user, spawned in user order;
+3. VAA scores: one ``uniform(5, 45)`` per user, in user order.
+
+A user's tweet stream draws θ (``dirichlet``), the tweet count, then per
+tweet, in this order:
+
+- ``random()`` for in- or out-of-window; in a window, ``integers`` for
+  the window and then for the second; out of the windows, ``integers``
+  for the second, redrawn while it falls in a window, at most 16 times;
+- ``integers`` for the token count n;
+- n doubles for the tokens' topics, then n for their words (one
+  ``random(2 n)`` call yields exactly those two ``random(n)`` calls);
+- ``random()`` against the political rate and, below it, ``integers``
+  for the political token.
+
+``integers`` over a range below 2**32 draws 32-bit halves of 64-bit
+outputs and keeps a spare half for its next call, while ``random`` takes
+whole outputs, so the per-tweet draws cannot be batched across tweets
+without changing the stream.  Only consecutive ``random`` calls may
+merge.  The lookups that turn doubles into topics and words
+(``searchsorted`` on the cumulative θ and β rows) use no randomness and
+run once per user.  A user's follows are one ``random`` call with a
+double per own-class hub, other-class hub and noise account, in that
+order.
 """
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -118,11 +150,6 @@ def class_mixtures(k: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-def _sample_indices(cum: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    idx = np.searchsorted(cum, rng.random(n), side="right")
-    return np.minimum(idx, len(cum) - 1)
-
-
 def planted_dfm(
     n_docs: int,
     k: int,
@@ -157,8 +184,57 @@ def planted_dfm(
     return dfm, beta, theta, labels
 
 
-def _iso(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+_JSON = json.JSONEncoder(sort_keys=True)  # what json.dumps(..., sort_keys=True) builds per call
+
+
+def _timeline(rng, uid, n_tweets, spec, periods, base, cum_theta, cum_beta, vocab,
+              political_tokens) -> list[dict]:
+    """One user's tweets, drawn in the stream order of the module
+    docstring; each lookup runs once over the whole timeline."""
+    if n_tweets < 1:
+        return []
+    # [lo, hi + 1) edges of the disjoint, sorted windows: ts lies in a
+    # window exactly when an odd number of edges are <= ts
+    edges = [t for lo, hi in periods for t in (lo, hi + 1)]
+    stamps, lengths, pol_picks, draws = [], [], [], []
+    tok_lo, tok_hi = spec.tokens_per_tweet
+    for _ in range(n_tweets):
+        if rng.random() < spec.in_window_fraction:
+            lo, hi = periods[int(rng.integers(len(periods)))]
+            ts = int(rng.integers(lo, hi + 1))
+            inside = True
+        else:
+            for _ in range(17):  # a first draw and up to 16 redraws out of the windows
+                ts = int(rng.integers(*base))
+                inside = bisect_right(edges, ts) % 2 == 1
+                if not inside:
+                    break
+        pol_rate = spec.political_rate_in if inside else spec.political_rate_out
+        n_tokens = int(rng.integers(tok_lo, tok_hi + 1))
+        # topic uniforms then word uniforms: the doubles of two random(n_tokens) calls
+        draws.append(rng.random(2 * n_tokens).reshape(2, n_tokens))
+        pol_picks.append(
+            political_tokens[int(rng.integers(len(political_tokens)))]
+            if rng.random() < pol_rate else None
+        )
+        stamps.append(ts)
+        lengths.append(n_tokens)
+
+    topic_u, word_u = np.concatenate(draws, axis=1)
+    topics = np.minimum(np.searchsorted(cum_theta, topic_u, side="right"), len(cum_theta) - 1)
+    word_ids = np.empty(len(word_u), dtype=np.intp)
+    for z in np.unique(topics):
+        on_z = topics == z
+        word_ids[on_z] = np.searchsorted(cum_beta[z], word_u[on_z], side="right")
+    np.minimum(word_ids, len(vocab) - 1, out=word_ids)
+    words = [vocab[i] for i in word_ids.tolist()]
+    iso = np.datetime_as_string(np.array(stamps, dtype="datetime64[s]"))
+    tweets, end = [], 0
+    for n_tokens, pol, ts in zip(lengths, pol_picks, iso.tolist()):
+        text = words[end : end + n_tokens] + ([pol] if pol else [])
+        end += n_tokens
+        tweets.append({"lang": "en", "text": " ".join(text), "timestamp": ts + "Z", "user_id": uid})
+    return tweets
 
 
 def generate(spec: SynthSpec, out_dir) -> SynthResult:
@@ -190,11 +266,10 @@ def generate(spec: SynthSpec, out_dir) -> SynthResult:
         (int(s.timestamp()), int(e.timestamp()))
         for s, e in resources.election_periods().values()
     )
-    base_lo = int(datetime(2009, 1, 1, tzinfo=timezone.utc).timestamp())
-    base_hi = int(datetime(2019, 12, 31, tzinfo=timezone.utc).timestamp())
-
-    def in_window(ts: int) -> bool:
-        return any(lo <= ts <= hi for lo, hi in periods)
+    base = (
+        int(datetime(2009, 1, 1, tzinfo=timezone.utc).timestamp()),
+        int(datetime(2019, 12, 31, tzinfo=timezone.utc).timestamp()),
+    )
 
     user_seeds = seeds[1].spawn(spec.n_users)
     theta_by_user: dict[str, np.ndarray] = {}
@@ -205,70 +280,29 @@ def generate(spec: SynthSpec, out_dir) -> SynthResult:
             mix = right_mix if is_right[u] else left_mix
             theta = rng.dirichlet(spec.dirichlet_concentration * mix)
             theta_by_user[uid] = theta
-            cum_theta = theta.cumsum()
             n_tweets = int(rng.integers(spec.tweets_per_user[0], spec.tweets_per_user[1] + 1))
-            for _ in range(n_tweets):
-                if rng.random() < spec.in_window_fraction:
-                    lo, hi = periods[int(rng.integers(len(periods)))]
-                    ts = int(rng.integers(lo, hi + 1))
-                    pol_rate = spec.political_rate_in
-                else:
-                    ts = int(rng.integers(base_lo, base_hi))
-                    for _ in range(16):
-                        if not in_window(ts):
-                            break
-                        ts = int(rng.integers(base_lo, base_hi))
-                    pol_rate = (
-                        spec.political_rate_in
-                        if in_window(ts)
-                        else spec.political_rate_out
-                    )
-                n_tokens = int(
-                    rng.integers(spec.tokens_per_tweet[0], spec.tokens_per_tweet[1] + 1)
-                )
-                topics = _sample_indices(cum_theta, n_tokens, rng)
-                draws = rng.random(n_tokens)
-                words = [
-                    vocab[min(int(np.searchsorted(cum_beta[z], uv, side="right")), spec.vocab_size - 1)]
-                    for z, uv in zip(topics, draws)
-                ]
-                if rng.random() < pol_rate:
-                    words.append(political_tokens[int(rng.integers(n_pol))])
-                fh.write(
-                    json.dumps(
-                        {
-                            "user_id": uid,
-                            "timestamp": _iso(ts),
-                            "text": " ".join(words),
-                            "lang": "en",
-                        },
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
+            tweets = _timeline(rng, uid, n_tweets, spec, periods, base, theta.cumsum(), cum_beta,
+                               vocab, political_tokens)
+            fh.writelines(_JSON.encode(t) + "\n" for t in tweets)
 
     hubs_left = [f"hubL{i:03d}" for i in range(spec.hubs_per_class)]
     hubs_right = [f"hubR{i:03d}" for i in range(spec.hubs_per_class)]
     noise = [f"acct{i:03d}" for i in range(spec.noise_accounts)]
     friends_path = os.path.join(out_dir, "friends.jsonl")
     net_seeds = seeds[2].spawn(spec.n_users)
+    thresholds = np.repeat(
+        [spec.follow_base * spec.network_homophily,
+         spec.follow_base * (1.0 - spec.network_homophily), 0.3],
+        [len(hubs_left), len(hubs_right), len(noise)],
+    )
     with open(friends_path, "w") as fh:
         for u, uid in enumerate(user_ids):
             rng = np.random.default_rng(net_seeds[u])
             own, other = (hubs_right, hubs_left) if is_right[u] else (hubs_left, hubs_right)
-            follows = [
-                h
-                for h in own
-                if rng.random() < spec.follow_base * spec.network_homophily
-            ]
-            follows += [
-                h
-                for h in other
-                if rng.random() < spec.follow_base * (1.0 - spec.network_homophily)
-            ]
-            follows += [a for a in noise if rng.random() < 0.3]
-            fh.write(json.dumps({"user_id": uid, "friends": follows}, sort_keys=True))
-            fh.write("\n")
+            accounts = own + other + noise
+            kept = rng.random(len(accounts)) < thresholds
+            follows = [a for a, keep in zip(accounts, kept) if keep]
+            fh.write(_JSON.encode({"user_id": uid, "friends": follows}) + "\n")
 
     vaa_path = os.path.join(out_dir, "vaa.csv")
     rng_vaa = np.random.default_rng(seeds[3])

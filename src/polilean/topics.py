@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .resources import parsing, write_csv, write_json
+from .resources import fields, parsing, write_csv, write_json
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
@@ -351,12 +351,13 @@ def load_topic_model(header_path, beta_path) -> TopicModel:
         header = json.load(fh)
     with open(beta_path, newline="") as fh, parsing(beta_path, "CSV of numbers"):
         beta = np.array([[float(x) for x in row] for row in csv.reader(fh)])
-    return TopicModel(
-        beta,
-        tuple(header["anchors"]),
-        tuple(header["vocab"]),
-        np.array([float(p) for p in header["word_prob"]]),
-    )
+    with fields(header_path):
+        return TopicModel(
+            beta,
+            tuple(header["anchors"]),
+            tuple(header["vocab"]),
+            np.array([float(p) for p in header["word_prob"]]),
+        )
 
 
 def write_theta_csv(path, row_ids: Sequence[str], theta: np.ndarray) -> None:

@@ -775,6 +775,24 @@ class TestConfigErrors:
         assert f"config error: field 'model_dir': {message}" in capsys.readouterr().err
         assert not os.path.exists(out / "predictions.csv")
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("topic_model.json", "{}\n", "topic_model.json lacks the field 'anchors'"),
+        ("classifier.json", "{}\n", "classifier.json lacks the field 'format'"),
+        ("lexicon.json", "[{}]\n", "lexicon.json lacks the field 'term'"),
+    ], ids=["topic-model", "classifier", "lexicon"])
+    def test_bundle_file_without_a_field_names_the_file(self, work, trained, tmp_path, capsys,
+                                                        name, text, message):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained, bundle)
+        (bundle / name).write_text(text)
+        out = tmp_path / "p"
+        assert _run(tmp_path, "predict", {
+            "tweets": work["tweets"], "friends": work["friends"],
+            "model_dir": str(bundle), "out": str(out),
+        }) == 2
+        assert f"config error: field 'model_dir': {message}" in capsys.readouterr().err
+        assert not os.path.exists(out / "predictions.csv")
+
 
 class TestStageErrors:
     def test_lexicon_without_window_coverage_fails_cleanly(self, tmp_path):

@@ -1,7 +1,10 @@
 """Deterministic synthetic corpus generator."""
 
+import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from polilean.corpus import (
     load_tweets,
     load_vaa_results,
 )
+import polilean
 from polilean.porter import stem
 from polilean.resources import smart_stopwords
 from polilean.synthgen import (
@@ -211,3 +215,59 @@ class TestGenerate:
         assert pol_scores and base_scores
         assert max(pol_scores) < 0.25
         assert np.median(base_scores) > 0.75
+
+
+# ----------------------------------------------------------------------
+# golden bytes: the random-stream contract of the synthgen docstring
+
+GOLDEN_BASE = dict(n_users=30, k_topics=4, vocab_size=120, tweets_per_user=(20, 30),
+                   hubs_per_class=5, noise_accounts=4, seed=23)
+GOLDEN_SPECS = {
+    "null": dict(GOLDEN_BASE, class_topic_shift=0.0, network_homophily=0.5),
+    "signal": dict(GOLDEN_BASE, class_topic_shift=0.3, network_homophily=0.8),
+}
+# SHA-256 of each file under numpy 2.4.  Re-pin only for a change in
+# numpy's random streams, and say so in CHANGES.md: any other change of
+# these bytes changes every seed's corpus.
+GOLDEN_DIGESTS = {
+    "null": {
+        "tweets.jsonl": "a2688fee94689ecbf5825e488dd850825813f2f9c385db4ce51b984baf926c82",
+        "friends.jsonl": "162eb9b67c747bcdbb266a27f7e326015612d4f77c518328cedf2401421331ba",
+        "vaa.csv": "7e0203d5470e2c56cff496d41883689f3985de66ca36f083e95915ed33add195",
+        "truth.json": "477b7d44b51a4ade03bb71657127c5c5f379f29a6dae18fa79aeb9d68b60e708",
+    },
+    "signal": {
+        "tweets.jsonl": "47b10243fb3a367020fff0c2ab64262bcb40a97af3137ca0b27832c1269c38df",
+        "friends.jsonl": "f01043d279e7924265b2a006613bc80150030d96a7160b1db7e9889e192a1b5c",
+        "vaa.csv": "7e0203d5470e2c56cff496d41883689f3985de66ca36f083e95915ed33add195",
+        "truth.json": "bc4501a4ae24395203b3dc63a062a88ce94cc3a4ffe8ff37797007aaecf1bf54",
+    },
+}
+
+
+def _digests(out_dir) -> dict[str, str]:
+    return {
+        name: hashlib.sha256(_file_bytes(os.path.join(out_dir, name))).hexdigest()
+        for name in GOLDEN_DIGESTS["null"]
+    }
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_files_match_the_pinned_digests(self, tmp_path, name):
+        generate(SynthSpec(**GOLDEN_SPECS[name]), tmp_path)
+        assert _digests(tmp_path) == GOLDEN_DIGESTS[name]
+
+    def test_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polilean.__file__)))
+        code = ("import sys; from polilean.synthgen import SynthSpec, generate; "
+                f"generate(SynthSpec(**{GOLDEN_SPECS['signal']!r}), sys.argv[1])")
+        for hash_seed in ("0", "1"):
+            out = tmp_path / hash_seed
+            proc = subprocess.run(
+                [sys.executable, "-c", code, str(out)],
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert _digests(out) == GOLDEN_DIGESTS["signal"], hash_seed
