@@ -11,10 +11,12 @@ from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classify import UNKNOWN, Prediction, apply_threshold, predict
 from .corpus import read_jsonl
 from .resources import write_csv
-from .textprep import SparseDFM
+from .textprep import Grams, SparseDFM, gram_keys
 
 logger = logging.getLogger(__name__)
 
@@ -64,15 +66,21 @@ def load_share_events(path, patterns: Sequence[UrlPattern]) -> list[ShareEvent]:
     return read_jsonl(path, parse, logger)
 
 
-def project_features(docs: Mapping[str, Counter], training_vocab: Sequence[str]) -> SparseDFM:
-    """Align users' feature multisets to a training vocabulary.
+def project_features(docs: Mapping[str, Grams], training_vocab: Sequence[str]) -> SparseDFM:
+    """Align users' n-gram counts to a training vocabulary.
 
     Each row depends only on that user's counts: features absent from
     the training vocabulary are dropped, and training columns a user
     lacks stay zero, so the matrix width matches the trained model.
     """
-    row_ids = tuple(docs)
-    dfm = SparseDFM.from_rows(row_ids, (docs[u] for u in row_ids), training_vocab, "text")
+    vocab_keys = gram_keys(training_vocab)
+    order = np.argsort(vocab_keys, kind="stable")
+    keys = np.concatenate([np.empty(0, np.int64)] + [g.keys for g in docs.values()])
+    pos = np.searchsorted(vocab_keys[order], keys)
+    # a key past the last vocabulary key meets -1, which no key equals
+    found = np.append(vocab_keys[order], -1)[pos] == keys
+    column = np.where(found, np.append(order, -1)[pos], -1)
+    dfm = SparseDFM.from_grams(docs, column, training_vocab)
     zero_users = dfm.empty_rows()
     if zero_users:
         logger.warning(

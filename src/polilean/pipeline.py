@@ -6,7 +6,6 @@ everything is seeded.
 """
 
 import logging
-from collections import Counter
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,11 +29,12 @@ from .corpus import (
 from .newsstudy import classify_sharers, project_features
 from .polex import Lexicon, expand_lexicon, induce_lexicon
 from .textprep import (
+    Grams,
     SparseDFM,
     build_dfm,
     build_network_matrix,
-    ngram_strings,
-    preprocess_tweet,
+    ngram_counts,
+    stem_codes,
     tokenize,
 )
 from .topics import TopicModel, fit_topic_model, fold_in
@@ -95,9 +95,9 @@ class CorpusBundle:
     # first use so each document is counted once per corpus
     counts: dict = field(default_factory=dict, repr=False)
 
-    def feature_counts(self, users: Sequence[str], which: str) -> dict[str, Counter]:
+    def feature_counts(self, users: Sequence[str], which: str) -> dict[str, Grams]:
         """The users' n-gram counts on one side (see side_counts), in
-        order.  The Counters are shared with later calls: read only."""
+        order.  The arrays are shared with later calls: read only."""
         cache = self.counts.setdefault(which, {})
         missing = [uid for uid in users if uid not in cache]
         if missing:
@@ -163,22 +163,15 @@ def load_corpus(tweets_path, vaa_path, friends_path, cfg: PipelineConfig) -> Cor
     return bundle
 
 
-def user_feature_counts(
-    tweet_texts: Iterable[str],
-    stopwords: frozenset[str],
-    orders: Sequence[int] = (1, 2, 3),
-) -> Counter:
-    """N-gram counts of one user document: every tweet's grams, merged
-    in tweet order."""
-    counts: Counter = Counter()
-    for text in tweet_texts:
-        counts.update(ngram_strings(preprocess_tweet(text, stopwords), orders))
-    return counts
+def user_feature_counts(tweet_texts: Iterable[str], stopwords: frozenset[str]) -> Grams:
+    """1-3-gram counts of one user document: every tweet's grams,
+    summed; no gram spans two tweets."""
+    return ngram_counts(stem_codes(tweet_texts, stopwords))
 
 
 def side_counts(
     documents: Mapping[str, UserDocument], users: Sequence[str], which: str
-) -> dict[str, Counter]:
+) -> dict[str, Grams]:
     """Each user's 1-3-gram counts over their political ("pol") or
     non-political document; a user's counts depend on that document
     alone."""
@@ -198,7 +191,7 @@ def build_text_dfm(
 
 
 def fold_in_users(
-    counts: Mapping[str, Counter], model: TopicModel
+    counts: Mapping[str, Grams], model: TopicModel
 ) -> tuple[np.ndarray, list[str]]:
     """Topic proportions of users the model was not fitted on, one row
     per user of `counts` (see side_counts) in order, each computed from

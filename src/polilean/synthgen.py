@@ -74,6 +74,12 @@ class SynthSpec:
     political_rate_out: float = 0.05
 
     def validate(self) -> None:
+        if self.n_users < 1:
+            raise ValueError("n_users must be at least 1")
+        if self.tweets_per_user[0] < 0:
+            raise ValueError("tweets_per_user must not be negative")
+        if not 0.0 <= self.political_lexicon_fraction <= 1.0:
+            raise ValueError("political_lexicon_fraction must be in [0, 1]")
         if not 0.0 <= self.class_topic_shift <= 1.0:
             raise ValueError("class_topic_shift must be in [0, 1]")
         if not 0.5 <= self.network_homophily <= 1.0:

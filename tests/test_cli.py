@@ -575,6 +575,17 @@ class TestConfigErrors:
         assert code == 2
         assert "class_topic_shift" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"n_users": 0}, "n_users must be at least 1"),
+        ({"tweets_per_user": [-3, 2], "n_users": 3}, "tweets_per_user must not be negative"),
+        ({"political_fraction": -0.5}, "political_lexicon_fraction must be in [0, 1]"),
+    ])
+    def test_synth_spec_ranges(self, tmp_path, capsys, payload, message):
+        out = tmp_path / "o"
+        assert _run(tmp_path, "synth", {**payload, "out": str(out)}) == 2
+        assert f"field 'synth': {message}" in capsys.readouterr().err
+        assert not (out / "tweets.jsonl").exists()
+
     def test_unknown_dataset_and_family(self, work):
         tmp = work["tmp"]
         base = {"tweets": work["tweets"], "vaa": work["vaa"],

@@ -2,13 +2,15 @@
 trained vocabulary, high-threshold labeling and the shares table."""
 
 import logging
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from polilean import classify, newsstudy, resources
 from polilean.newsstudy import ShareEvent, UrlPattern
+from polilean.resources import smart_stopwords
+from polilean.textprep import SparseDFM
+from test_textprep import grams_of, oracle_counts, random_documents
 
 
 def _default_patterns():
@@ -109,13 +111,13 @@ class TestProjectFeatures:
 
     def test_projection_rules(self, caplog):
         docs = {
-            "u1": Counter({"alpha": 2, "gamma": 1, "unseen_feature": 5}),
-            "u2": Counter({"alpha": 1, "beta": 4}),
-            "u3": Counter({"rare": 0, "unseen_feature": 1}),
+            "u1": grams_of("alpha", "alpha", "gamma", *["unseen"] * 5),
+            "u2": grams_of("alpha", "beta", "beta", "beta", "beta"),
+            "u3": grams_of("unseen"),
         }
         # gamma occurs once in the whole batch and is still kept: no
-        # frequency floor across users; unseen_feature and rare are
-        # absent from the vocabulary
+        # frequency floor across users; unseen is absent from the
+        # vocabulary
         with caplog.at_level(logging.WARNING, logger="polilean.newsstudy"):
             dfm = newsstudy.project_features(docs, self.VOCAB)
         assert dfm.col_ids == self.VOCAB
@@ -130,13 +132,29 @@ class TestProjectFeatures:
 
     def test_identity_projection(self):
         docs = {
-            "u1": Counter({"alpha": 1, "beta": 3}),
-            "u2": Counter({"beta": 2, "gamma": 1}),
+            "u1": grams_of("alpha", "beta", "beta", "beta"),
+            "u2": grams_of("beta", "beta", "gamma"),
         }
         dfm = newsstudy.project_features(docs, self.VOCAB)
         np.testing.assert_array_equal(
             dfm.matrix.toarray(), [[1.0, 3.0, 0.0], [0.0, 2.0, 1.0]]
         )
+
+    def test_matches_the_string_projection(self):
+        # the vocabulary holds grams of every order, a gram no user has,
+        # a stem never seen and a name that is no gram
+        stopwords = smart_stopwords()
+        texts = random_documents(np.random.default_rng(3))
+        docs = {u: grams_of(*t, stopwords=stopwords) for u, t in texts.items()}
+        oracle = {u: oracle_counts(t, stopwords) for u, t in texts.items()}
+        names = sorted(set().union(*oracle.values()))
+        vocab = names[::3] + ["goal_goal_goal_goal", "zzzq", "vote_zzzq", "card_goal_goal"]
+        got = newsstudy.project_features(docs, vocab)
+        want = SparseDFM.from_rows(tuple(oracle), oracle.values(), vocab)
+        assert got.row_ids == want.row_ids and got.col_ids == want.col_ids
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got.matrix, name), getattr(want.matrix, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestClassifySharers:

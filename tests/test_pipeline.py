@@ -10,7 +10,7 @@ import pytest
 from polilean import cli, pipeline
 from polilean.resources import smart_stopwords
 from polilean.synthgen import SynthSpec, generate
-from polilean.textprep import ngram_strings, preprocess_tweet
+from test_textprep import decoded, oracle_counts, random_documents
 
 TINY = SynthSpec(
     n_users=60,
@@ -52,74 +52,31 @@ def bundle(corpus):
 class TestFeatureCounts:
     def test_merges_ngrams_across_tweets(self):
         stopwords = frozenset({"the", "a"})
-        counts = pipeline.user_feature_counts(
-            ["the red card", "red card again"], stopwords, orders=(1, 2)
-        )
+        counts = decoded(pipeline.user_feature_counts(["the red card", "red card again"], stopwords))
         # stems: [red, card] and [red, card, again]
-        assert counts["red"] == 2
-        assert counts["card"] == 2
-        assert counts["red_card"] == 2
-        assert counts["card_again"] == 1
+        assert counts == Counter({"red": 2, "card": 2, "red_card": 2, "again": 1,
+                                  "card_again": 1, "red_card_again": 1})
 
     def test_orders_limit_the_features(self):
-        counts = pipeline.user_feature_counts(
-            ["alpha beta gamma"], frozenset(), orders=(1,)
-        )
-        assert all("_" not in feat for feat in counts)
-
-
-def _oracle_ngrams(stems, orders):
-    """Per-tweet n-gram counting before it ran at C speed, kept as the oracle."""
-    grams = Counter()
-    for n in orders:
-        for i in range(len(stems) - n + 1):
-            grams["_".join(stems[i : i + n])] += 1
-    return grams
-
-
-def _parent_user_feature_counts(tweet_texts, stopwords, orders):
-    """The per-tweet Counter merge before the C-speed counting."""
-    counts = Counter()
-    for text in tweet_texts:
-        counts.update(_oracle_ngrams(preprocess_tweet(text, stopwords), orders))
-    return counts
+        counts = decoded(pipeline.user_feature_counts(["alpha beta gamma delta"], frozenset()))
+        assert sorted(Counter(f.count("_") + 1 for f in counts).items()) == [
+            (1, 4), (2, 3), (3, 2)]
 
 
 class TestFeatureCountsMatchOracle:
-    """Same grams, same counts and the same insertion order as the
-    parent's per-tweet merge, so every later step sees the same Counter."""
+    """The keyed counts, decoded, are the per-tweet string Counter merge."""
 
-    WORDS = ("vote", "voting", "the", "a", "match", "goal", "goals", "red", "card",
-             "again", "run", "runner", "running", "of", "and")
-
-    def _tweets(self, rng, n):
-        tweets = []
-        for _ in range(n):
-            words = list(rng.choice(self.WORDS, size=int(rng.integers(0, 12))))
-            if rng.random() < 0.2:
-                words.insert(0, "https://example.com/x?y=1")
-            if rng.random() < 0.2:
-                words.append("2-0!")
-            tweets.append(" ".join(words))
-        return tweets + ["", "the and of", "solo"]
-
-    @pytest.mark.parametrize("orders", [(1, 2, 3), (1,), (2, 3), (3, 1)])
-    def test_items_and_order_match(self, orders):
-        rng = np.random.default_rng(len(orders) * 10 + orders[0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_decoded_keys_match_oracle(self, seed):
         stopwords = smart_stopwords()
-        for _ in range(20):
-            tweets = self._tweets(rng, int(rng.integers(0, 15)))
-            got = pipeline.user_feature_counts(tweets, stopwords, orders)
-            want = _parent_user_feature_counts(tweets, stopwords, orders)
-            assert list(got.items()) == list(want.items())
-            for text in tweets[:5]:
-                stems = preprocess_tweet(text, stopwords)
-                assert list(Counter(ngram_strings(stems, orders)).items()) == list(
-                    _oracle_ngrams(stems, orders).items())
+        for tweets in random_documents(np.random.default_rng(seed), n_users=20).values():
+            got = pipeline.user_feature_counts(tweets, stopwords)
+            assert decoded(got) == oracle_counts(tweets, stopwords)
+            assert (np.diff(got.keys) > 0).all()
 
     def test_empty_document(self):
-        assert pipeline.user_feature_counts([], frozenset()) == Counter()
-        assert pipeline.user_feature_counts(["", "the"], frozenset({"the"})) == Counter()
+        assert pipeline.user_feature_counts([], frozenset()).keys.size == 0
+        assert decoded(pipeline.user_feature_counts(["", "the"], frozenset({"the"}))) == Counter()
 
 
 class _CountCalls:

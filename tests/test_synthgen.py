@@ -115,6 +115,23 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=message):
                 spec.validate()
 
+    def test_rejects_no_users(self):
+        SynthSpec(n_users=1).validate()
+        with pytest.raises(ValueError, match="n_users must be at least 1"):
+            SynthSpec(n_users=0).validate()
+
+    def test_rejects_a_negative_tweet_count(self):
+        SynthSpec(n_users=3, tweets_per_user=(0, 2)).validate()
+        with pytest.raises(ValueError, match="tweets_per_user must not be negative"):
+            SynthSpec(n_users=3, tweets_per_user=(-3, 2)).validate()
+
+    def test_rejects_a_political_fraction_outside_the_unit_interval(self):
+        for fraction in (0.0, 1.0):
+            SynthSpec(n_users=3, political_lexicon_fraction=fraction).validate()
+        for fraction in (-0.01, 1.5):
+            with pytest.raises(ValueError, match=r"political_lexicon_fraction must be in \[0, 1\]"):
+                SynthSpec(n_users=3, political_lexicon_fraction=fraction).validate()
+
 
 class TestGenerate:
     def test_identical_seeds_give_identical_bytes(self, tmp_path):

@@ -1,25 +1,75 @@
 """Tokenization, n-grams, sparse DFM construction and trimming."""
 
+import itertools
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from polilean import textprep
 from polilean.pipeline import align_network, join_features
+from polilean.resources import smart_stopwords
 from polilean.textprep import (
+    Grams,
     SparseDFM,
     build_dfm,
     build_network_matrix,
+    gram_keys,
+    gram_names,
     load_dfm,
-    ngram_strings,
-    preprocess_tweet,
-    remove_stopwords,
+    ngram_counts,
+    porter_stem,
     save_dfm,
+    stem_codes,
     tokenize,
     tokenize_matching,
     trim_sparse,
 )
+
+# ----------------------------------------------------------------------
+# the per-tweet string path that the keyed counts replaced, kept as the
+# oracle
+
+
+def oracle_stems(text: str, stopwords: frozenset[str]) -> list[str]:
+    """One tweet's tokens, stopwords dropped, then stemmed."""
+    return [porter_stem(t) for t in tokenize(text) if t not in stopwords]
+
+
+def oracle_ngrams(stems: list[str]) -> Counter:
+    """One tweet's 1-3-grams joined with "_"."""
+    grams = Counter()
+    for n in (1, 2, 3):
+        for i in range(len(stems) - n + 1):
+            grams["_".join(stems[i : i + n])] += 1
+    return grams
+
+
+def oracle_counts(tweets, stopwords: frozenset[str]) -> Counter:
+    """A user document's n-gram counts, merged tweet by tweet."""
+    counts = Counter()
+    for text in tweets:
+        counts.update(oracle_ngrams(oracle_stems(text, stopwords)))
+    return counts
+
+
+def decoded(grams: Grams) -> Counter:
+    """Keyed counts as a name -> count Counter."""
+    return Counter(dict(zip(gram_names(grams.keys), grams.counts.tolist())))
+
+
+def grams_of(*tweets: str, stopwords: frozenset[str] = frozenset()) -> Grams:
+    return ngram_counts(stem_codes(tweets, stopwords))
+
+
+def _stems(text: str, stopwords: frozenset[str]) -> list[str]:
+    """The stems of one tweet: a unigram's key is its stem id."""
+    return gram_names(stem_codes([text], stopwords))
+
+
+_URL = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 
 
 class TestTokenize:
@@ -42,6 +92,20 @@ class TestTokenize:
         assert tokenize("") == []
         assert tokenize("   \n ") == []
 
+    def test_pinned_on_adversarial_text(self):
+        # the skip-gram and the language filter read these tokens, so
+        # they must equal the split form whatever else tokenizes
+        cases = {
+            "Run\u212aing \u0130stanbul \u03a3\u039f\u03a6\u039f\u03a3 ok\u03a3": [
+                "runking", "i", "stanbul", "ok"],
+            "GOAL!!! 2-0 #Spurs @BBCSport http://t.co/x": ["goal", "spurs", "bbcsport"],
+            "read www.x.com/a\nnow HTTPS://Y.Z/": ["read", "now"],
+            "ab1cd _x_ caf\u00e9\tend": ["ab", "cd", "x", "caf", "end"],
+        }
+        for text, want in cases.items():
+            split = [t for t in re.split(r"[^a-z]+", _URL.sub(" ", text).lower()) if t]
+            assert tokenize(text) == split == want, text
+
 
 class TestTokenizeMatching:
     def test_hashtags_and_mentions_survive(self):
@@ -63,46 +127,111 @@ class TestStopwordsAndPreprocess:
     STOPS = frozenset({"the", "and", "do"})
 
     def test_remove_stopwords(self):
-        assert remove_stopwords(["the", "cat", "and", "dog"], self.STOPS) == ["cat", "dog"]
+        assert _stems("the cat and dog", self.STOPS) == ["cat", "dog"]
+        assert decoded(grams_of("the cat and dog", stopwords=self.STOPS)) == Counter(
+            {"cat": 1, "dog": 1, "cat_dog": 1})
 
     def test_stopwords_removed_before_stemming(self):
-        # "doing" stems to the stopword "do" but survives under the
-        # default order (stopword check on raw tokens, then stem)
-        assert preprocess_tweet("doing the dance", self.STOPS) == ["do", "danc"]
+        # "doing" stems to the stopword "do" but survives: the stopword
+        # check is on raw tokens, then the survivors are stemmed
+        assert _stems("doing the dance", self.STOPS) == ["do", "danc"]
 
     def test_full_chain(self):
         stops = frozenset({"a", "the"})
-        assert preprocess_tweet("The runners a running", stops) == ["runner", "run"]
+        assert _stems("The runners a running", stops) == ["runner", "run"]
 
 
 class TestNgrams:
     def test_hand_counts(self):
-        grams = Counter(ngram_strings(["a", "b", "c"]))
-        assert grams == Counter(
+        assert decoded(grams_of("a b c")) == Counter(
             {"a": 1, "b": 1, "c": 1, "a_b": 1, "b_c": 1, "a_b_c": 1}
         )
 
     def test_repeated_tokens_accumulate(self):
-        grams = Counter(ngram_strings(["x", "x", "x"], orders=(1, 2)))
-        assert grams == Counter({"x": 3, "x_x": 2})
+        assert decoded(grams_of("x x x")) == Counter({"x": 3, "x_x": 2, "x_x_x": 1})
 
     def test_orders_subset(self):
-        assert Counter(ngram_strings(["a", "b"], orders=(2,))) == Counter({"a_b": 1})
+        # a two-stem tweet has grams of orders 1 and 2 only
+        assert decoded(grams_of("a b")) == Counter({"a": 1, "b": 1, "a_b": 1})
 
     def test_short_input(self):
-        assert Counter(ngram_strings([], orders=(1, 2, 3))) == Counter()
-        assert Counter(ngram_strings(["solo"], orders=(1, 2, 3))) == Counter({"solo": 1})
+        assert decoded(grams_of()) == Counter()
+        assert decoded(grams_of("solo")) == Counter({"solo": 1})
 
     def test_grams_never_cross_tweets(self):
-        # two tweets processed separately share no bigram
-        a = Counter(ngram_strings(["end"], orders=(1, 2)))
-        b = Counter(ngram_strings(["start"], orders=(1, 2)))
-        assert "end_start" not in (a + b)
+        # two tweets share no bigram, even when one ends in a URL or
+        # holds a newline of its own
+        assert decoded(grams_of("end", "start")) == Counter({"end": 1, "start": 1})
+        assert "end_start" not in decoded(grams_of("x end https://t.co/a", "start"))
+        assert decoded(grams_of("end\nstart")) == Counter(
+            {"end": 1, "start": 1, "end_start": 1})
+
+
+class TestKeyedCountsMatchOracle:
+    """The keyed counts of a document, decoded, are the string oracle's
+    counts; keys are strictly increasing and counts positive."""
+
+    DOCUMENTS = {
+        "url at a tweet's end": ["vote now https://t.co/abc", "www.x.com/y then more"],
+        "newline inside tweets": ["red\ncard", "again\n\nred card", "\n"],
+        "case": ["The RED Card", "red CARD again", "KING kIng"],
+        "kelvin, dotted I and final sigma": [
+            "\u212aing size \u212a", "\u0130stanbul \u0130I", "\u039f\u03a3 ok\u03a3 \u03c3ok"],
+        "digits and hashtags": ["2-0 to #Spurs @BBCSport", "vote_2015 #GE2015 ge2015"],
+        "stopword-only and empty tweets": ["", "the and of", "  ", "goal", "the", "goal"],
+        "empty document": [],
+    }
+
+    def test_adversarial_documents(self):
+        stopwords = smart_stopwords()
+        for name, tweets in self.DOCUMENTS.items():
+            grams = grams_of(*tweets, stopwords=stopwords)
+            assert decoded(grams) == oracle_counts(tweets, stopwords), name
+            assert grams.keys.dtype == grams.counts.dtype == np.int64
+            assert (np.diff(grams.keys) > 0).all() and (grams.counts > 0).all(), name
+            assert sum(grams.values()) == sum(oracle_counts(tweets, stopwords).values())
+
+    def test_names_and_keys_round_trip(self):
+        grams = grams_of("alpha beta gamma", "beta alpha")
+        names = gram_names(grams.keys)
+        assert np.array_equal(gram_keys(names), grams.keys)
+        # unknown stems, more than three parts and empty parts match nothing
+        assert gram_keys(["zzqx", "alpha_beta_gamma_alpha", "", "alpha__beta"]).tolist() == [
+            -1, -1, -1, -1]
+
+    def test_each_distinct_token_is_stemmed_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(token):
+            calls[token] += 1
+            return porter_stem(token)
+
+        monkeypatch.setattr(textprep, "_TABLE", textprep._StemTable())
+        monkeypatch.setattr(textprep, "porter_stem", counting)
+        stops = frozenset({"the"})
+        first = grams_of("the runner running", "runs the run", stopwords=stops)
+        assert calls == Counter({"runner": 1, "running": 1, "runs": 1, "run": 1})
+        assert grams_of("running the run", stopwords=stops).keys.size
+        assert sum(calls.values()) == 4
+        # another stopword list decides stopwords anew and keeps the ids
+        again = grams_of("the runner running", stopwords=frozenset())
+        assert decoded(again) - decoded(first) == Counter(
+            {"the": 1, "the_runner": 1, "the_runner_run": 1})
+        assert calls["the"] == 1
+
+    def test_too_many_stems_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(textprep, "_TABLE", textprep._StemTable())
+        monkeypatch.setattr(textprep, "MAX_STEMS", 3)
+        assert decoded(grams_of("alpha beta gamma"))["alpha_beta_gamma"] == 1
+        with pytest.raises(ValueError, match="more than 3 distinct stems"):
+            grams_of("alpha delta")
+        assert decoded(grams_of("gamma alpha")) == Counter(
+            {"gamma": 1, "alpha": 1, "gamma_alpha": 1})
 
 
 class TestBuildDfm:
     def test_rows_follow_mapping_order_columns_sorted(self):
-        docs = {"u2": Counter({"b": 2, "a": 1}), "u0": Counter(), "u1": Counter({"c": 3})}
+        docs = {"u2": grams_of("b", "b", "a"), "u0": grams_of(), "u1": grams_of("c", "c", "c")}
         dfm = build_dfm(docs, sparsity=1.0)
         assert dfm.row_ids == ("u2", "u0", "u1")
         assert dfm.col_ids == ("a", "b", "c")
@@ -138,7 +267,7 @@ class TestBuildDfm:
             align_network({"u1": ["x", "y"]}, ["u1"], ["x", "y", "x"])
 
     def test_sparsity_trims_before_the_matrix_is_built(self):
-        docs = {"u1": Counter({"common": 1, "rare": 1}), "u2": Counter({"common": 2})}
+        docs = {"u1": grams_of("common", "rare"), "u2": grams_of("common", "common")}
         assert build_dfm(docs, sparsity=0.5).col_ids == ("common",)
         assert build_dfm(docs, sparsity=0.51).col_ids == ("common", "rare")
         with pytest.raises(ValueError, match="sparsity must be in"):
@@ -146,8 +275,8 @@ class TestBuildDfm:
 
 
 def _parent_untrimmed_dfm(docs, kind="text"):
-    """The untrimmed build_dfm and the per-item from_rows loop before
-    the trim moved ahead of the matrix build, kept as the oracle."""
+    """The untrimmed build_dfm and the per-item from_rows loop over
+    string Counters, kept as the oracle."""
     row_ids = tuple(docs)
     vocab = sorted(set().union(*(docs[u].keys() for u in row_ids)))
     col_index = {f: j for j, f in enumerate(vocab)}
@@ -165,63 +294,69 @@ def _parent_untrimmed_dfm(docs, kind="text"):
     return SparseDFM(matrix, row_ids, tuple(vocab), kind)
 
 
-class TestBuildDfmMatchesTrimOracle:
-    """build_dfm(docs, s) is the parent's untrimmed build_dfm followed by
-    trim_sparse(·, s), bit for bit."""
+def random_documents(rng, n_users=40, n_words=14):
+    """User documents over a small vocabulary, word i drawn with a weight
+    that grows with i, so every sparsity keeps some features; plus an
+    empty and a stopword-only document."""
+    words = ["vote", "voting", "match", "goal", "goals", "red", "card", "runner",
+             "running", "king", "\u212aing", "news", "Tory", "labour"][:n_words]
+    weights = np.linspace(0.02, 0.98, len(words))
+    weights /= weights.sum()
+    docs = {}
+    for i in rng.permutation(n_users):
+        tweets = []
+        for _ in range(int(rng.integers(1, 8))):
+            tokens = list(rng.choice(words, size=int(rng.integers(0, 7)), p=weights))
+            if rng.random() < 0.3:
+                tokens.insert(int(rng.integers(0, len(tokens) + 1)), "the")
+            if rng.random() < 0.2:
+                tokens.append("https://t.co/x")
+            tweets.append(" ".join(tokens))
+        docs[f"u{i:03d}"] = tweets
+    docs["u_empty"] = []
+    docs["u_stop"] = ["the", "and of the"]
+    return docs
 
-    @staticmethod
-    def _docs(rng, n_users=40, n_feats=80):
-        feats = [f"f{j:02d}" + ("_x" * (j % 3)) for j in range(n_feats)]
-        # a few features almost everyone has, so every sparsity keeps some
-        weights = np.linspace(0.02, 0.98, n_feats)
-        docs = {}
-        for i in rng.permutation(n_users):
-            has = rng.random(n_feats) < weights
-            chosen = [feats[j] for j in rng.permutation(np.flatnonzero(has))]
-            docs[f"u{i:03d}"] = Counter(
-                {f: int(rng.integers(1, 6)) for f in chosen}
-            )
-        docs["u_empty"] = Counter()
-        # explicit zero counts: they add a column to the untrimmed matrix
-        # but no document frequency
-        docs["u_zero"] = Counter({feats[0]: 0, feats[-1]: 0, feats[-2]: 3})
-        docs["u_float"] = Counter({feats[-1]: 2.5, feats[-3]: 1})
-        return docs
+
+class TestBuildDfmMatchesTrimOracle:
+    """build_dfm over keyed counts is the untrimmed string-Counter DFM
+    followed by trim_sparse(·, s), bit for bit."""
 
     @pytest.mark.parametrize("sparsity", [0.5, 0.8, 0.9, 1.0])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bitwise_equal(self, sparsity, seed):
-        docs = self._docs(np.random.default_rng(seed))
-        want = trim_sparse(_parent_untrimmed_dfm(docs), sparsity)
+        stopwords = smart_stopwords()
+        texts = random_documents(np.random.default_rng(seed))
+        docs = {u: grams_of(*t, stopwords=stopwords) for u, t in texts.items()}
+        oracle = {u: oracle_counts(t, stopwords) for u, t in texts.items()}
+        want = trim_sparse(_parent_untrimmed_dfm(oracle), sparsity)
         got = build_dfm(docs, sparsity)
         assert got.row_ids == want.row_ids
         assert got.col_ids == want.col_ids
         assert got.kind == want.kind
+        assert got.matrix.has_sorted_indices
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got.matrix, name), getattr(want.matrix, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    def test_zero_count_is_no_document(self):
-        docs = {"u1": Counter({"a": 0, "b": 1}), "u2": Counter({"b": 1})}
-        got = build_dfm(docs, 1.0)
-        assert got.col_ids == trim_sparse(_parent_untrimmed_dfm(docs), 1.0).col_ids == ("b",)
-
     def test_everything_trimmed_is_the_same_error(self):
-        docs = {f"u{i}": Counter({f"w{i}": 1, "zero": 0}) for i in range(100)}
+        words = ["".join(w) for w in itertools.product("bcdfg", repeat=3)][:100]
+        docs = {f"u{i}": grams_of(w) for i, w in enumerate(words)}
+        oracle = {f"u{i}": Counter({porter_stem(w): 1}) for i, w in enumerate(words)}
         with pytest.raises(ValueError, match="removed every feature") as new:
             build_dfm(docs, 0.5)
         with pytest.raises(ValueError, match="removed every feature") as old:
-            trim_sparse(_parent_untrimmed_dfm(docs), 0.5)
+            trim_sparse(_parent_untrimmed_dfm(oracle), 0.5)
         assert str(new.value) == str(old.value)
 
 
 class TestTrimSparse:
     def _dfm(self):
         docs = {
-            "u1": Counter({"common": 1, "rare": 1}),
-            "u2": Counter({"common": 1}),
-            "u3": Counter({"common": 2}),
-            "u4": Counter({"common": 1}),
+            "u1": grams_of("common", "rare"),
+            "u2": grams_of("common"),
+            "u3": grams_of("common", "common"),
+            "u4": grams_of("common"),
         }
         return build_dfm(docs, sparsity=1.0)
 
@@ -239,7 +374,8 @@ class TestTrimSparse:
         assert tight <= loose
 
     def test_all_features_dropped_is_an_error(self):
-        docs = {f"u{i}": Counter({f"w{i}": 1}) for i in range(100)}
+        words = ["".join(w) for w in itertools.product("bcdfg", repeat=3)][:100]
+        docs = {f"u{i}": grams_of(w) for i, w in enumerate(words)}
         with pytest.raises(ValueError, match="removed every feature"):
             trim_sparse(build_dfm(docs, sparsity=1.0), 0.5)
 
@@ -312,8 +448,8 @@ class TestJoinFeatures:
 
 class TestSaveLoad:
     def test_round_trip(self, tmp_path):
-        docs = {"u1": Counter({"a": 2, "b": 1}), "u2": Counter({"b": 4})}
-        dfm = build_dfm(docs, sparsity=1.0)
+        dfm = build_dfm({"u1": grams_of("a", "a", "b"), "u2": grams_of("b", "b", "b", "b")},
+                        sparsity=1.0)
         triplet, header = tmp_path / "m.csv", tmp_path / "m.json"
         save_dfm(dfm, triplet, header)
         back = load_dfm(triplet, header)
@@ -323,14 +459,13 @@ class TestSaveLoad:
         assert (back.matrix != dfm.matrix).nnz == 0
 
     def test_save_is_deterministic(self, tmp_path):
-        docs = {"u1": Counter({"a": 2.5, "b": 1}), "u2": Counter({"b": 4})}
-        dfm = build_dfm(docs, sparsity=1.0)
+        dfm = SparseDFM(sp.csr_matrix([[2.5, 1.0], [0.0, 4.0]]), ("u1", "u2"), ("a", "b"))
         save_dfm(dfm, tmp_path / "1.csv", tmp_path / "1.json")
         save_dfm(dfm, tmp_path / "2.csv", tmp_path / "2.json")
         assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
         assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
 
     def test_integer_counts_written_without_decimal(self, tmp_path):
-        dfm = build_dfm({"u": Counter({"a": 3})}, sparsity=1.0)
+        dfm = build_dfm({"u": grams_of("a", "a", "a")}, sparsity=1.0)
         save_dfm(dfm, tmp_path / "m.csv", tmp_path / "m.json")
         assert "u,a,3\n" in (tmp_path / "m.csv").read_text()

@@ -3,7 +3,6 @@ folding-in, word rankings and prevalence regression."""
 
 import logging
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from polilean.topics import (
     top_words,
     word_scores,
 )
+from test_textprep import grams_of
 
 
 def _dfm_from_counts(counts, vocab=None):
@@ -375,7 +375,7 @@ class TestFoldIn:
 
     def test_column_alignment(self):
         # one feature unknown to the model, one model word ("c") missing
-        counts = {"d0": Counter({"b": 3, "unseen": 7, "a": 2})}
+        counts = {"d0": grams_of("b", "b", "b", *["unseen"] * 7, "a", "a")}
         theta = fold_in(project_features(counts, self.MODEL.vocab), self.MODEL)
         aligned = np.array([[2.0, 3.0, 0.0]])  # a=2, b=3, c missing
         np.testing.assert_allclose(theta, infer_theta(aligned, self.MODEL.beta))
@@ -387,7 +387,7 @@ class TestFoldIn:
             vocab=("a", "b"),
             word_prob=np.array([0.5, 0.5]),
         )
-        dfm = project_features({"d0": Counter({"other": 4})}, model.vocab)
+        dfm = project_features({"d0": grams_of(*["other"] * 4)}, model.vocab)
         np.testing.assert_allclose(fold_in(dfm, model), 0.5)
 
     def test_misaligned_columns_rejected(self):
