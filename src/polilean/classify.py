@@ -4,11 +4,15 @@ Five families share one interface: naive Bayes (Gaussian on continuous
 columns, Bernoulli on binary ones), three SVM kernels with Platt
 calibration fitted on out-of-fold decisions, and a small neural net.
 Probabilities are always "probability of Right".
+
+A saved model's `params` are its model class's fields without a default
+(nested dataclasses in full, arrays as lists, booleans as 0/1); loading
+predicts one zero row, so a field that does not fit is a FileFormatError.
 """
 
+import dataclasses
 import json
 import logging
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -28,14 +32,14 @@ UNKNOWN = "Unknown"
 _KERNELS = {"SVM_lin": "linear", "SVM_poly": "poly", "SVM_rad": "rbf"}
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Prediction:
     user_id: str
     p_right: float
     label: str
 
 
-@dataclass
+@dataclasses.dataclass
 class NbModel:
     log_prior: np.ndarray  # [Left, Right]
     binary_mask: np.ndarray
@@ -44,8 +48,11 @@ class NbModel:
     bern_logp1: np.ndarray  # 2 x n_binary
     bern_logp0: np.ndarray
 
+    def __post_init__(self):
+        self.binary_mask = np.asarray(self.binary_mask, dtype=bool)
 
-@dataclass
+
+@dataclasses.dataclass
 class ClassifierModel:
     family: str
     feature_width: int
@@ -176,7 +183,7 @@ def predict(model: ClassifierModel, x) -> np.ndarray:
         joint -= joint.max(axis=1, keepdims=True)
         likes = np.exp(joint)
         return likes[:, 1] / likes.sum(axis=1)
-    if model.family in ("SVM_lin", "SVM_poly", "SVM_rad"):
+    if model.family in _KERNELS:
         f = model.inner.decision_function(x)
         ab = model.calibration if model.calibration is not None else (-1.0, 0.0)
         if model.calibration is None:
@@ -208,50 +215,42 @@ def apply_threshold(user_ids, p_right, tau: float) -> list[Prediction]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _arr(a) -> list:
-    return np.asarray(a).tolist()
+_MODELS = {"NB": NbModel, "NN": nn_mod.NnModel, **dict.fromkeys(_KERNELS, svm_mod.SvmModel)}
+
+
+def _saved_fields(cls) -> list[dataclasses.Field]:
+    missing = dataclasses.MISSING
+    return [f for f in dataclasses.fields(cls)
+            if f.default is missing and f.default_factory is missing]
+
+
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, np.ndarray):
+        return (value.astype(int) if value.dtype == bool else value).tolist()
+    return value
+
+
+def _decode(f: dataclasses.Field, value, width: int):
+    if dataclasses.is_dataclass(f.type):
+        return f.type(**value)
+    if f.type is not np.ndarray:
+        return value
+    value = np.asarray(value, dtype=np.float64)
+    return value.reshape(0, width) if value.size == 0 and f.metadata.get("feature_rows") else value
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    params: dict[str, Any]
-    if model.family == "NB":
-        m = model.inner
-        params = {
-            "log_prior": _arr(m.log_prior),
-            "binary_mask": _arr(m.binary_mask.astype(int)),
-            "gauss_mean": _arr(m.gauss_mean),
-            "gauss_var": _arr(m.gauss_var),
-            "bern_logp1": _arr(m.bern_logp1),
-            "bern_logp0": _arr(m.bern_logp0),
-        }
-    elif model.family in _KERNELS:
-        m = model.inner
-        params = {
-            "kernel": {
-                "name": m.kernel.name,
-                "degree": m.kernel.degree,
-                "coef": m.kernel.coef,
-                "gamma": m.kernel.gamma,
-            },
-            "support_vectors": _arr(m.support_vectors),
-            "support_alpha_y": _arr(m.support_alpha_y),
-            "bias": m.bias,
-            "converged": m.converged,
-        }
-    elif model.family == "NN":
-        m = model.inner
-        params = {
-            "w1": _arr(m.w1), "b1": _arr(m.b1), "w2": _arr(m.w2), "b2": _arr(m.b2),
-            "mean": _arr(m.mean), "sd": _arr(m.sd),
-        }
-    else:
+    if model.family not in _MODELS:
         raise ValueError(f"unknown classifier family {model.family!r}")
     doc = {
         "format": "classifier/1",
         "family": model.family,
         "feature_width": model.feature_width,
         "calibration": list(model.calibration) if model.calibration else None,
-        "params": params,
+        "params": {f.name: _encode(getattr(model.inner, f.name))
+                   for f in _saved_fields(type(model.inner))},
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -262,46 +261,17 @@ def load_model(path) -> ClassifierModel:
     with open(path) as fh, parsing(path, "JSON"):
         doc = json.load(fh)
     with fields(path):
-        return _model_from_doc(doc)
-
-
-def _model_from_doc(doc: dict) -> ClassifierModel:
-    if doc["format"] != "classifier/1":
-        raise ValueError(f"unsupported model container {doc['format']!r}")
-    family = doc["family"]
-    p = doc["params"]
-    inner: Any
-    if family == "NB":
-        inner = NbModel(
-            log_prior=np.array(p["log_prior"]),
-            binary_mask=np.array(p["binary_mask"], dtype=bool),
-            gauss_mean=np.array(p["gauss_mean"]),
-            gauss_var=np.array(p["gauss_var"]),
-            bern_logp1=np.array(p["bern_logp1"]),
-            bern_logp0=np.array(p["bern_logp0"]),
-        )
-    elif family in _KERNELS:
-        k = p["kernel"]
-        sv = np.array(p["support_vectors"], dtype=np.float64)
-        if sv.size == 0:
-            sv = np.zeros((0, doc["feature_width"]))
-        inner = svm_mod.SvmModel(
-            kernel=svm_mod.Kernel(k["name"], k["degree"], k["coef"], k["gamma"]),
-            support_vectors=sv,
-            support_alpha_y=np.array(p["support_alpha_y"], dtype=np.float64),
-            bias=p["bias"],
-            converged=p["converged"],
-        )
-    elif family == "NN":
-        inner = nn_mod.NnModel(
-            w1=np.array(p["w1"]), b1=np.array(p["b1"]),
-            w2=np.array(p["w2"]), b2=np.array(p["b2"]),
-            mean=np.array(p["mean"]), sd=np.array(p["sd"]),
-        )
-    else:
-        raise ValueError(f"unknown classifier family {family!r}")
-    calibration = tuple(doc["calibration"]) if doc["calibration"] else None
-    return ClassifierModel(family, doc["feature_width"], inner, calibration)
+        if doc["format"] != "classifier/1":
+            raise ValueError(f"unsupported model container {doc['format']!r}")
+        family, width, params = doc["family"], doc["feature_width"], doc["params"]
+        if family not in _MODELS:
+            raise ValueError(f"unknown classifier family {family!r}")
+        inner = _MODELS[family](**{f.name: _decode(f, params[f.name], width)
+                                   for f in _saved_fields(_MODELS[family])})
+        calibration = tuple(doc["calibration"]) if doc["calibration"] else None
+        model = ClassifierModel(family, width, inner, calibration)
+        predict(model, np.zeros((1, width)))  # a field that does not fit the width fails here
+    return model
 
 
 def write_predictions_csv(path, predictions: list[Prediction]) -> None:

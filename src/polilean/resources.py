@@ -89,5 +89,5 @@ def fields(path):
         yield
     except KeyError as exc:
         raise FileFormatError(f"{name} lacks the field {exc}") from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
         raise FileFormatError(f"{name} has a malformed field ({exc})") from None

@@ -41,7 +41,8 @@ class Kernel:
 @dataclass
 class SvmModel:
     kernel: Kernel
-    support_vectors: np.ndarray
+    # a saved model without support vectors reloads as (0, n_features)
+    support_vectors: np.ndarray = field(metadata={"feature_rows": True})
     support_alpha_y: np.ndarray  # alpha_i * y_i for support vectors
     bias: float
     converged: bool

@@ -13,8 +13,6 @@ a * 2**21 + b, a trigram (a * 2**21 + b) * 2**21 + c.  Ids are below
 Only the features a matrix keeps are decoded to their "a_b_c" names.
 """
 
-import csv
-import json
 import re
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
@@ -30,7 +28,7 @@ __all__ = [
     "SparseDFM", "Grams", "tokenize", "tokenize_matching", "porter_stem",
     "stem_codes", "ngram_counts", "gram_names", "gram_keys", "build_dfm",
     "trim_sparse", "build_network_matrix",
-    "save_dfm", "load_dfm",
+    "save_dfm",
 ]
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -314,22 +312,3 @@ def save_dfm(dfm: SparseDFM, triplet_path, header_path) -> None:
         "row_ids": list(dfm.row_ids),
         "col_ids": list(dfm.col_ids),
     })
-
-
-def load_dfm(triplet_path, header_path) -> SparseDFM:
-    with open(header_path) as fh:
-        header = json.load(fh)
-    row_ids = tuple(header["row_ids"])
-    col_ids = tuple(header["col_ids"])
-    row_index = {u: i for i, u in enumerate(row_ids)}
-    col_index = {f: j for j, f in enumerate(col_ids)}
-    rows, cols, data = [], [], []
-    with open(triplet_path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(row_index[rec["row_id"]])
-            cols.append(col_index[rec["col_id"]])
-            data.append(float(rec["value"]))
-    matrix = sp.csr_matrix(
-        (data, (rows, cols)), shape=(len(row_ids), len(col_ids)), dtype=np.float64
-    )
-    return SparseDFM(matrix, row_ids, col_ids, header["kind"])

@@ -11,13 +11,14 @@ Left/Right label round things out.
 import csv
 import json
 import logging
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .resources import fields, parsing, write_csv, write_json
+from .resources import FileFormatError, fields, parsing, write_csv, write_json
 from .textprep import SparseDFM
 
 logger = logging.getLogger(__name__)
@@ -352,12 +353,16 @@ def load_topic_model(header_path, beta_path) -> TopicModel:
     with open(beta_path, newline="") as fh, parsing(beta_path, "CSV of numbers"):
         beta = np.array([[float(x) for x in row] for row in csv.reader(fh)])
     with fields(header_path):
-        return TopicModel(
+        model = TopicModel(
             beta,
             tuple(header["anchors"]),
             tuple(header["vocab"]),
             np.array([float(p) for p in header["word_prob"]]),
         )
+    if beta.ndim != 2 or beta.shape[1] != len(model.vocab):
+        raise FileFormatError(f"{os.path.basename(beta_path)} must have one column "
+                              f"per vocabulary word ({len(model.vocab)})")
+    return model
 
 
 def write_theta_csv(path, row_ids: Sequence[str], theta: np.ndarray) -> None:

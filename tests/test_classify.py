@@ -535,3 +535,87 @@ class TestSerialization:
         path.write_text('{"format": "other/9"}\n')
         with pytest.raises(ValueError, match="unsupported model container"):
             classify.load_model(path)
+
+    def test_saved_bytes_match_the_pinned_format(self, tmp_path):
+        # hand-built models, not trained ones, so that BLAS threading
+        # cannot move a byte; the expected files pin classifier/1
+        probe = np.array([[0.5, -1.0, 1.0], [2.0, 0.0, 0.0]])
+        for family, model in _hand_models().items():
+            path = tmp_path / f"{family}.json"
+            classify.save_model(model, path)
+            assert path.read_text() == PINNED_CLASSIFIER_JSON[family], family
+            back = classify.load_model(path)
+            classify.save_model(back, tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), family
+            x = probe[:, :model.feature_width]
+            np.testing.assert_array_equal(classify.predict(back, x), classify.predict(model, x))
+
+
+def _hand_models() -> dict:
+    """One model per family: a boolean NB mask, an SVM without support
+    vectors, a kernel with every parameter off its default, and the
+    dual solution that is not saved."""
+    return {
+        "NB": classify.ClassifierModel("NB", 3, classify.NbModel(
+            log_prior=np.array([-0.75, -0.625]),
+            binary_mask=np.array([False, True, True]),
+            gauss_mean=np.array([[0.5], [1.5]]),
+            gauss_var=np.array([[0.25], [2.0]]),
+            bern_logp1=np.array([[-0.5, -1.0], [-2.0, -0.25]]),
+            bern_logp0=np.array([[-1.25, -0.75], [-0.125, -1.5]]),
+        )),
+        "SVM_lin": classify.ClassifierModel("SVM_lin", 3, svm.SvmModel(
+            kernel=svm.Kernel("linear"), support_vectors=np.zeros((0, 3)),
+            support_alpha_y=np.zeros(0), bias=0.25, converged=True,
+        ), (-1.5, 0.125)),
+        "SVM_poly": classify.ClassifierModel("SVM_poly", 2, svm.SvmModel(
+            kernel=svm.Kernel("poly", degree=2, coef=0.5, gamma=0.75),
+            support_vectors=np.array([[1.0, -2.0], [0.5, 0.25]]),
+            support_alpha_y=np.array([0.5, -0.5]), bias=-0.125, converged=False,
+            alpha=np.array([0.5, 0.0, 0.5]),
+        ), (-2.0, 0.5)),
+        "SVM_rad": classify.ClassifierModel("SVM_rad", 2, svm.SvmModel(
+            kernel=svm.Kernel("rbf"), support_vectors=np.array([[0.1, 0.2]]),
+            support_alpha_y=np.array([1.0]), bias=0.0, converged=True,
+        )),
+        "NN": classify.ClassifierModel("NN", 2, nn.NnModel(
+            w1=np.array([[0.1, -0.2], [0.3, 0.4]]), b1=np.array([0.0, 0.05]),
+            w2=np.array([[0.5, -0.5], [-0.25, 0.25]]), b2=np.array([0.01, -0.01]),
+            mean=np.array([1.0, 2.0]), sd=np.array([0.5, 1.5]),
+        )),
+    }
+
+
+PINNED_CLASSIFIER_JSON = {
+    "NB": (
+        '{"calibration": null, "family": "NB", "feature_width": 3, "format": "classifier/1", '
+        '"params": {"bern_logp0": [[-1.25, -0.75], [-0.125, -1.5]], '
+        '"bern_logp1": [[-0.5, -1.0], [-2.0, -0.25]], "binary_mask": [0, 1, 1], '
+        '"gauss_mean": [[0.5], [1.5]], "gauss_var": [[0.25], [2.0]], '
+        '"log_prior": [-0.75, -0.625]}}\n'
+    ),
+    "SVM_lin": (
+        '{"calibration": [-1.5, 0.125], "family": "SVM_lin", "feature_width": 3, '
+        '"format": "classifier/1", "params": {"bias": 0.25, "converged": true, '
+        '"kernel": {"coef": 1.0, "degree": 3, "gamma": null, "name": "linear"}, '
+        '"support_alpha_y": [], "support_vectors": []}}\n'
+    ),
+    "SVM_poly": (
+        '{"calibration": [-2.0, 0.5], "family": "SVM_poly", "feature_width": 2, '
+        '"format": "classifier/1", "params": {"bias": -0.125, "converged": false, '
+        '"kernel": {"coef": 0.5, "degree": 2, "gamma": 0.75, "name": "poly"}, '
+        '"support_alpha_y": [0.5, -0.5], "support_vectors": [[1.0, -2.0], [0.5, 0.25]]}}\n'
+    ),
+    "SVM_rad": (
+        '{"calibration": null, "family": "SVM_rad", "feature_width": 2, '
+        '"format": "classifier/1", "params": {"bias": 0.0, "converged": true, '
+        '"kernel": {"coef": 1.0, "degree": 3, "gamma": null, "name": "rbf"}, '
+        '"support_alpha_y": [1.0], "support_vectors": [[0.1, 0.2]]}}\n'
+    ),
+    "NN": (
+        '{"calibration": null, "family": "NN", "feature_width": 2, "format": "classifier/1", '
+        '"params": {"b1": [0.0, 0.05], "b2": [0.01, -0.01], "mean": [1.0, 2.0], '
+        '"sd": [0.5, 1.5], "w1": [[0.1, -0.2], [0.3, 0.4]], '
+        '"w2": [[0.5, -0.5], [-0.25, 0.25]]}}\n'
+    ),
+}

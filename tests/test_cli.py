@@ -22,8 +22,9 @@ from polilean import classify, cli, newsstudy, pipeline, resources
 from polilean.corpus import Tweet, UserRecord, assemble_documents, group_tweets, load_friends, load_tweets
 from polilean.newsstudy import project_features
 from polilean.polex import Lexicon
-from polilean.textprep import load_dfm
 from polilean.topics import load_topic_model
+
+from conftest import read_dfm
 
 SYNTH_CONFIG = {
     "seed": 5,
@@ -166,7 +167,7 @@ class TestDfmAndTopics:
         }
         assert expected <= set(os.listdir(out))
         assert expected == set(_assert_manifest(out, "dfm", TWEETS_VAA_FRIENDS)["outputs"])
-        dfm = load_dfm(out / "dfm_nonpol.csv", out / "dfm_nonpol.json")
+        dfm = read_dfm(out / "dfm_nonpol.csv", out / "dfm_nonpol.json")
         assert dfm.shape[0] == 60
         assert dfm.shape[1] >= 1
 
@@ -200,6 +201,26 @@ def trained(work):
     })
     assert code == 0
     return str(out)
+
+
+@pytest.fixture(scope="module")
+def bundle(work, trained):
+    """bundle(dataset, family): the directory of a bundle trained once in
+    this module; friends are given only to a network dataset."""
+    made = {("non-pol+net", "SVM_poly"): trained}
+
+    def get(dataset, family):
+        if (dataset, family) not in made:
+            out = work["tmp"] / f"model_{dataset}_{family}"
+            friends = {"friends": work["friends"]} if pipeline.DATASETS[dataset].net else {}
+            assert _run(work["tmp"], "train", {
+                "tweets": work["tweets"], "vaa": work["vaa"], **friends, "out": str(out),
+                "dataset": dataset, "family": family, **COMMON,
+            }) == 0
+            made[dataset, family] = str(out)
+        return made[dataset, family]
+
+    return get
 
 
 BUNDLE_INPUTS = {
@@ -292,16 +313,12 @@ class TestTrainPredict:
         assert os.path.exists(out / "sharer_predictions.csv")
         _assert_manifest(out, "newsstudy", BUNDLE_INPUTS | {"shares.jsonl"})
 
-    def test_newsstudy_uses_the_bundles_dataset(self, work):
+    def test_newsstudy_uses_the_bundles_dataset(self, work, bundle):
         # a text-only bundle has no network_columns.json; newsstudy must
         # read the dataset from train_meta.json as predict does
         tmp = work["tmp"]
-        model = tmp / "model_nonpol_nb"
-        assert _run(tmp, "train", {
-            "tweets": work["tweets"], "vaa": work["vaa"], "out": str(model),
-            "dataset": "non-pol", "family": "NB", **COMMON,
-        }) == 0
-        assert not os.path.exists(model / "network_columns.json")
+        model = bundle("non-pol", "NB")
+        assert not os.path.exists(os.path.join(model, "network_columns.json"))
         shares = tmp / "shares_nonpol.jsonl"
         with open(shares, "w") as fh:
             for i in range(6):
@@ -312,7 +329,7 @@ class TestTrainPredict:
         out = tmp / "news_nonpol"
         code = _run(tmp, "newsstudy", {
             "shares": str(shares), "tweets": work["tweets"],
-            "model_dir": str(model), "out": str(out), **COMMON,
+            "model_dir": model, "out": str(out), **COMMON,
         })
         assert code == 0
         with open(out / "sharer_predictions.csv") as fh:
@@ -411,31 +428,31 @@ class TestOneFeaturePath:
                 assert abs(other.p_right - alone.p_right) <= 1e-12, (uid, alone, other)
                 assert other.label == alone.label
 
-    def test_eval_test_rows_are_the_predict_rows(self, work, trained):
+    @pytest.mark.parametrize("dataset, family", [
+        ("non-pol+net", "SVM_poly"), ("net", "NB"), ("non-pol", "NB"),
+    ], ids=["non-pol+net", "net", "non-pol"])
+    def test_eval_test_rows_are_the_predict_rows(self, work, bundle, dataset, family):
+        model = bundle(dataset, family)
+        friends = work["friends"] if pipeline.DATASETS[dataset].net else None
         cfg = cli._pipeline_config(COMMON)
-        cfg.datasets, cfg.families = ("non-pol+net",), ("SVM_poly",)
-        bundle = pipeline.load_corpus(work["tweets"], work["vaa"], work["friends"], cfg)
-        sample = pipeline.evaluate_sample(bundle, cfg, cfg.seed)
-        _, _, x_test, users_test = sample.features["non-pol+net"]
+        cfg.datasets, cfg.families = (dataset,), (family,)
+        corpus = pipeline.load_corpus(work["tweets"], work["vaa"], friends, cfg)
+        sample = pipeline.evaluate_sample(corpus, cfg, cfg.seed)
+        _, _, x_test, users_test = sample.features[dataset]
         assert users_test == list(sample.split[1])
 
         users = group_tweets(load_tweets(work["tweets"]))
-        lexicon = Lexicon.load(os.path.join(trained, "lexicon.json"))
+        lexicon = Lexicon.load(os.path.join(model, "lexicon.json"))
         docs = {uid: assemble_documents(users[uid], lexicon) for uid in users_test}
         features, unknown = cli._prediction_features(
-            {"friends": work["friends"]}, trained, "non-pol+net", docs, users_test
+            {"friends": friends}, model, dataset, docs, users_test
         )
         assert features.dtype == x_test.dtype and features.shape == x_test.shape
         assert features.tobytes() == x_test.tobytes()
-        assert unknown == sample.unknown["non-pol+net"]
+        assert unknown == sample.unknown[dataset]
 
-    def test_net_bundle_abstains_without_follows(self, work, tmp_path):
-        tmp = work["tmp"]
-        model = tmp / "model_net_nb"
-        assert _run(tmp, "train", {
-            "tweets": work["tweets"], "vaa": work["vaa"], "friends": work["friends"],
-            "out": str(model), "dataset": "net", "family": "NB", **COMMON,
-        }) == 0
+    def test_net_bundle_abstains_without_follows(self, work, bundle, tmp_path):
+        model = bundle("net", "NB")
         tweets = tmp_path / "tweets.jsonl"
         with open(work["tweets"]) as src, open(tweets, "w") as fh:
             fh.write(src.read())
@@ -446,7 +463,7 @@ class TestOneFeaturePath:
                 }) + "\n")
         out = tmp_path / "preds"
         assert _run(tmp_path, "predict", {
-            "tweets": str(tweets), "friends": work["friends"], "model_dir": str(model),
+            "tweets": str(tweets), "friends": work["friends"], "model_dir": model,
             "out": str(out), "tau": 0.5, **COMMON,
         }) == 0
         with open(out / "predictions.csv") as fh:
@@ -800,6 +817,38 @@ class TestConfigErrors:
         assert _run(tmp_path, "predict", {
             "tweets": work["tweets"], "friends": work["friends"],
             "model_dir": str(bundle), "out": str(out),
+        }) == 2
+        assert f"config error: field 'model_dir': {message}" in capsys.readouterr().err
+        assert not os.path.exists(out / "predictions.csv")
+
+
+    @pytest.mark.parametrize("dataset, family, edit, message", [
+        ("non-pol+net", "NN", lambda p: p.update(w1="abc"), "classifier.json has a malformed field"),
+        ("non-pol+net", "NN", lambda p: p["w1"].pop(), "classifier.json has a malformed field"),
+        ("non-pol+net", "NN", lambda p: p.update(mean=p["mean"][:-2]),
+         "classifier.json has a malformed field"),
+        ("non-pol", "NB", lambda p: p.update(binary_mask=p["binary_mask"][:-1]),
+         "classifier.json has a malformed field"),
+        ("non-pol+net", "SVM_poly", None,
+         "topic_beta.csv must have one column per vocabulary word"),
+    ], ids=["nn-weights-a-string", "nn-weights-a-row-short", "nn-mean-short",
+            "nb-mask-short", "topic-beta-a-column-short"])
+    def test_bundle_field_that_does_not_fit_names_the_file(self, work, bundle, tmp_path, capsys,
+                                                          dataset, family, edit, message):
+        model = tmp_path / "bundle"
+        shutil.copytree(bundle(dataset, family), model)
+        if edit is None:  # every row of beta one column short of the vocabulary
+            with open(model / "topic_beta.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            resources.write_csv(model / "topic_beta.csv", [row[:-1] for row in rows])
+        else:
+            doc = json.loads((model / "classifier.json").read_text())
+            edit(doc["params"])
+            (model / "classifier.json").write_text(json.dumps(doc))
+        out = tmp_path / "p"
+        assert _run(tmp_path, "predict", {
+            "tweets": work["tweets"], "friends": work["friends"],
+            "model_dir": str(model), "out": str(out),
         }) == 2
         assert f"config error: field 'model_dir': {message}" in capsys.readouterr().err
         assert not os.path.exists(out / "predictions.csv")

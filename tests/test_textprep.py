@@ -18,7 +18,6 @@ from polilean.textprep import (
     build_network_matrix,
     gram_keys,
     gram_names,
-    load_dfm,
     ngram_counts,
     porter_stem,
     save_dfm,
@@ -27,6 +26,8 @@ from polilean.textprep import (
     tokenize_matching,
     trim_sparse,
 )
+
+from conftest import read_dfm
 
 # ----------------------------------------------------------------------
 # the per-tweet string path that the keyed counts replaced, kept as the
@@ -452,7 +453,7 @@ class TestSaveLoad:
                         sparsity=1.0)
         triplet, header = tmp_path / "m.csv", tmp_path / "m.json"
         save_dfm(dfm, triplet, header)
-        back = load_dfm(triplet, header)
+        back = read_dfm(triplet, header)
         assert back.row_ids == dfm.row_ids
         assert back.col_ids == dfm.col_ids
         assert back.kind == dfm.kind

@@ -70,6 +70,11 @@ def test_hooked_arguments_keep_their_names():
     assert {"corpus", "window", "min_freq", "epochs"} <= set(_params("skipgram", "train_skipgram"))
 
 
+def test_train_model_span_is_named_from_family():
+    # the train_model span is named classify.train_model.<args[0]>
+    assert _params("classify", "train_model")[0] == "family"
+
+
 def test_recover_beta_returns_beta_and_residuals():
     from polilean.topics import recover_beta
 
